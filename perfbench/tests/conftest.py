@@ -1,0 +1,14 @@
+"""Import paths for the benchmark's own tests.
+
+Run from the repository root:
+
+    python3 -m pytest -q perfbench/tests
+"""
+
+import os
+import sys
+
+_BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for _path in (_BENCH, os.path.join(os.path.dirname(_BENCH), "src")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
