@@ -3,16 +3,18 @@
 
 Replays every frozen reproducer in ``tests/corpus/`` (a corpus
 regression is an immediate failure), runs a seeded differential sweep
-of real-world anchor/lookaround patterns against Python ``re``, then
-runs a seeded, wall-clock-budgeted fuzz campaign that solves random
-EREs with all four engines, diffs their verdicts, validates every sat
-witness, checks the metamorphic identities, and cross-checks leftmost
-search (and a random lookaround stream) against Python's ``re``.  Any
-disagreement is shrunk to a minimal reproducer and printed.
+of real-world anchor/lookaround patterns against Python ``re`` and one
+of the reference semantics against classical Brzozowski matching on
+long strings, then runs a seeded, wall-clock-budgeted fuzz campaign
+that solves random EREs with all four engines, diffs their verdicts,
+validates every sat witness, checks the metamorphic identities, and
+cross-checks leftmost search (and a random lookaround stream) against
+Python's ``re``.  Any disagreement is shrunk to a minimal reproducer
+and printed.
 
-Exit status: 0 when the corpus replays clean and the campaign found no
-unexplained disagreement (one whose shrunk pattern is not already
-frozen in the corpus); 1 otherwise.
+Exit status: 0 when the corpus replays clean, both sweeps agree, and
+the campaign found no unexplained disagreement (one whose shrunk
+pattern is not already frozen in the corpus); 1 otherwise.
 
 Examples::
 
@@ -86,6 +88,94 @@ def lookaround_sweep(seed, fuel, seconds):
     return failures
 
 
+#: Loop-bound and closure shapes for the semantics sweep: counted
+#: repetition, nullable and nested loop bodies, and loops under
+#: complement and intersection, where the reference matcher's
+#: position-set closure does its work.
+SEMANTICS_PATTERNS = [
+    "(a|ab){3,9}b*",
+    "((ab)?){4,12}",
+    "(a?b?){7,}",
+    "(a{2,3}){5,9}",
+    "((a|b){2}|0){10,40}",
+    "((a|b)*0){2,}1?",
+    "~((a|b){5,})",
+    "(.{3}&(a.*)){2,6}",
+    "(~(.*00.*)1){3,}",
+    ".*a.{8}",
+    "(.*a.{4})&(.{4}b.*)",
+    "~(.*01.*)&.{20,60}",
+]
+
+#: Wall-clock budget of the semantics sweep's random stream, seconds.
+SEMANTICS_BUDGET_S = 3.0
+
+#: Chunks for long texts near the patterns' languages (uniform random
+#: text over four letters almost never matches a loop-heavy pattern).
+_CHUNKS = ["a", "b", "0", "1", "ab", "ba", "aab", "01", "00"]
+
+
+def _long_texts(rng, count=6):
+    texts = []
+    for k in range(count):
+        n = rng.randint(20, 80)
+        if k % 2:
+            letters = rng.sample("ab01", rng.randint(1, 4))
+            texts.append("".join(rng.choice(letters) for _ in range(n)))
+        else:
+            text = ""
+            while len(text) < n:
+                text += rng.choice(_CHUNKS)
+            texts.append(text)
+    return texts
+
+
+def semantics_sweep(seed, budget=SEMANTICS_BUDGET_S):
+    """Seeded differential of :class:`repro.regex.semantics.Matcher`
+    against classical Brzozowski matching on texts of 20-80 characters:
+    every curated pattern, then random EREs until ``budget`` seconds
+    have passed.  Returns the number of disagreements (each printed as
+    one line)."""
+    import random
+
+    from repro.derivatives import brzozowski
+    from repro.regex import parse, to_pattern
+    from repro.regex.semantics import Matcher
+    from repro.verify.campaign import RegexGen, _fresh_builder
+
+    rng = random.Random(seed)
+    builder = _fresh_builder("ab01")
+    gen = RegexGen(rng, builder)
+    curated = [parse(builder, p) for p in SEMANTICS_PATTERNS]
+    started = time.monotonic()
+    regexes = texts = accepted = failures = 0
+    while regexes < len(curated) \
+            or time.monotonic() - started < budget:
+        if regexes < len(curated):
+            regex = curated[regexes]
+        else:
+            regex = gen.regex(rng.randint(2, 4))
+        regexes += 1
+        matcher = Matcher(builder.algebra)
+        for text in _long_texts(rng):
+            texts += 1
+            ours = matcher.matches(regex, text)
+            theirs = brzozowski.matches(builder, regex, text)
+            accepted += ours
+            if ours != theirs:
+                failures += 1
+                print("semantics %s FAIL %s" % (
+                    to_pattern(regex), json.dumps({
+                        "text": text, "semantics": ours,
+                        "brzozowski": theirs,
+                    }, sort_keys=True),
+                ))
+    print("semantics: %d regexes, %d texts (%d accepted), %d failures" % (
+        regexes, texts, accepted, failures,
+    ))
+    return failures
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="verify_ci",
@@ -129,6 +219,8 @@ def main(argv=None):
     from repro.verify.campaign import CASE_FUEL, CASE_SECONDS
 
     if lookaround_sweep(args.seed, CASE_FUEL, CASE_SECONDS):
+        status = 1
+    if semantics_sweep(args.seed):
         status = 1
 
     started = time.monotonic()

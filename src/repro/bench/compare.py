@@ -8,7 +8,8 @@ p90) grew by more than ``time_rel`` **relative** AND more than
 microsecond-scale suites from tripping the gate on scheduler jitter,
 the relative gate keeps slow suites from hiding real slowdowns behind
 a fixed allowance.  Solved-count drops and timeout-rate rises are
-never considered noise.
+never considered noise, and a cell with any wrong answer regresses
+outright — compared or newly added, whatever its previous count.
 
 ``scripts/bench_ci.py`` renders :func:`render_report` and exits
 nonzero via :func:`has_regressions`, which is what makes the pipeline
@@ -71,8 +72,16 @@ def compare(prev, cur, time_rel=DEFAULT_TIME_REL, time_abs=DEFAULT_TIME_ABS,
         "time_gated": compare_times,
         "jobs": {"before": prev_jobs, "after": cur_jobs},
     }
-    for name in sorted(set(prev_cells) & set(cur_cells)):
-        before, after = prev_cells[name], cur_cells[name]
+    for name in sorted(cur_cells):
+        before, after = prev_cells.get(name), cur_cells[name]
+        if after.get("wrong", 0) > 0:
+            # absolute: a fix elsewhere in the cell must not offset it
+            report["regressions"].append(_delta(
+                name, "wrong", (before or {}).get("wrong", 0),
+                after["wrong"],
+            ))
+        if before is None:
+            continue
         report["compared"] += 1
 
         solved_delta = after["solved"] - before["solved"]

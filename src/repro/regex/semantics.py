@@ -1,177 +1,50 @@
 """Reference semantics: direct membership evaluation.
 
-This module decides ``s in L(R)`` by structural recursion with
-memoization, *independently* of derivatives or automata.  It exists as
-a trusted oracle for the test suite (derivatives, SBFAs, classical
-automata and the solver are all cross-checked against it) and is also
-used by examples to validate produced witnesses.
+This module decides ``s in L(R)`` by structural recursion,
+*independently* of derivatives or automata.  It exists as a trusted
+oracle for the test suite (derivatives, SBFAs, classical automata and
+the solver are all cross-checked against it), and the solver replays
+every sat witness through it before reporting one.
+
+For a fixed string ``s`` of length ``n``, ``ends(R, i)`` is the set of
+positions ``j`` with ``s[i:j] in L(R)``, held as a Python-int bitset
+(bit ``j`` set).  Every ``(node, start)`` pair is computed once per
+string from its children's sets; ``s in L(R)`` iff bit ``n`` of
+``ends(R, 0)`` is set.  Zero-width assertions are positional: they
+look at the whole string around their position, not just their span.
 """
 
 from repro.regex.ast import (
-    COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOK_KINDS, LOOKAHEAD,
-    LOOKBEHIND, LOOP, NEG_LOOKAHEAD, PRED, UNION,
+    COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOKAHEAD, LOOKBEHIND, LOOP,
+    NEG_LOOKAHEAD, NEG_LOOKBEHIND, PRED, UNION,
 )
 
 
 class Matcher:
-    """Membership oracle for one algebra, memoized across calls."""
+    """Membership oracle for one algebra, memoized per string."""
 
     def __init__(self, algebra):
         self.algebra = algebra
         self._memo = {}
         self._string = None
+        self._n = 0
+
+    def _load(self, string):
+        """Point the memo at ``string``; False if it leaves the domain
+        (languages are subsets of D*, complemented or not)."""
+        if string != self._string:
+            if any(not self.algebra.in_domain(c) for c in string):
+                return False
+            self._memo = {}
+            self._string = string
+            self._n = len(string)
+        return True
 
     def matches(self, regex, string):
         """True iff the entire ``string`` is in ``L(regex)``."""
-        # languages are subsets of D*: a string with an out-of-domain
-        # character is in no language, complemented or not
-        if any(not self.algebra.in_domain(c) for c in string):
+        if not self._load(string):
             return False
-        if string != self._string:
-            self._memo = {}
-            self._string = string
-        return self._match(regex, 0, len(string))
-
-    def _match(self, node, start, end):
-        key = (node.uid, start, end)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        # Seed with False so ill-founded cycles (impossible for EREs,
-        # but cheap insurance) resolve to non-membership.
-        self._memo[key] = False
-        result = self._compute(node, start, end)
-        self._memo[key] = result
-        return result
-
-    def _compute(self, node, start, end):
-        s = self._string
-        if node.kind == EMPTY:
-            return False
-        if node.kind == EPSILON:
-            return start == end
-        if node.kind == PRED:
-            return end == start + 1 and self.algebra.member(s[start], node.pred)
-        if node.kind == UNION:
-            return any(self._match(c, start, end) for c in node.children)
-        if node.kind == INTER:
-            return all(self._match(c, start, end) for c in node.children)
-        if node.kind == COMPL:
-            return not self._match(node.children[0], start, end)
-        if node.kind == CONCAT:
-            return self._match_seq(node, 0, start, end)
-        if node.kind == LOOP:
-            return self._match_loop(node, start, end)
-        if node.kind in LOOK_KINDS:
-            # zero-width: the span must be empty, and the assertion is
-            # evaluated against the *whole* string around the position
-            return start == end and self._assertion_holds(node, start)
-        raise AssertionError("unknown node kind %r" % node.kind)
-
-    def _assertion_holds(self, node, pos):
-        """Positional truth of a lookaround at ``pos``: lookaheads ask
-        for a body match over some ``[pos, q]``, lookbehinds over some
-        ``[q, pos]``; negatives negate."""
-        body = node.children[0]
-        if node.kind in (LOOKAHEAD, NEG_LOOKAHEAD):
-            holds = any(
-                self._match(body, pos, q)
-                for q in range(pos, len(self._string) + 1)
-            )
-            return holds if node.kind == LOOKAHEAD else not holds
-        holds = any(self._match(body, q, pos) for q in range(0, pos + 1))
-        return holds if node.kind == LOOKBEHIND else not holds
-
-    def _match_seq(self, concat, index, start, end):
-        children = concat.children
-        if index == len(children) - 1:
-            return self._match(children[index], start, end)
-        key = ("seq", concat.uid, index, start, end)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        self._memo[key] = False
-        result = any(
-            self._match(children[index], start, mid)
-            and self._match_seq(concat, index + 1, mid, end)
-            for mid in range(start, end + 1)
-        )
-        self._memo[key] = result
-        return result
-
-    def _match_loop(self, loop, start, end):
-        body = loop.children[0]
-        lo, hi = loop.lo, loop.hi
-        if body.has_look:
-            # a body with assertions may match the empty span at some
-            # positions only, invalidating both classical shortcuts
-            # below (lower-bound erasure and the "every iteration
-            # consumes" bound); take the positional path
-            return self._match_loop_positional(loop, start, end)
-        if body.nullable:
-            # eps in L(body) makes powers increasing, so the lower
-            # bound never constrains which strings are matchable.
-            lo = 0
-        if lo == 0 and start == end:
-            return True
-        if hi is INF:
-            if body.nullable:
-                # layers are monotone; fixpoint within #positions steps
-                max_iter = (end - start) + 1
-            else:
-                # every iteration consumes at least one character
-                if lo > end - start:
-                    return False
-                max_iter = end - start
-        else:
-            max_iter = hi
-        # current = positions reachable with exactly j body-iterations
-        current = {start}
-        for j in range(1, max_iter + 1):
-            nxt = set()
-            for p in current:
-                for q in range(p, end + 1):
-                    if self._match(body, p, q):
-                        nxt.add(q)
-            if end in nxt and j >= lo:
-                return True
-            if not nxt or nxt == current:
-                return False
-            current = nxt
-        return False
-
-    def _match_loop_positional(self, loop, start, end):
-        """Loop matching for assertion-bearing bodies.
-
-        States are ``(position, padded)`` pairs reachable with exactly
-        ``j`` body iterations, where ``padded`` records that some
-        iteration on the path was zero-width — such an iteration can be
-        repeated in place, so any higher iteration count is reachable
-        too.  An accepting run with an empty-span iteration can be
-        normalized to keep only its consuming iterations plus one
-        zero-width one, so ``(end - start) + 1`` rounds are complete.
-        """
-        body = loop.children[0]
-        lo, hi = loop.lo, loop.hi
-        if lo == 0 and start == end:
-            return True
-        max_iter = (end - start) + 1
-        if hi is not INF:
-            max_iter = min(max_iter, hi)
-        current = {(start, False)}
-        for j in range(1, max_iter + 1):
-            nxt = set()
-            for p, padded in current:
-                for q in range(p, end + 1):
-                    if self._match(body, p, q):
-                        nxt.add((q, padded or q == p))
-            for q, padded in nxt:
-                if q == end and (padded or j >= lo):
-                    return True
-            if not nxt or nxt == current:
-                return False
-            current = nxt
-        return False
+        return bool(self._ends(regex, 0) >> self._n & 1)
 
     def search(self, regex, string, start=0):
         """Leftmost matching span ``(i, j)`` with ``i >= start`` and
@@ -181,17 +54,98 @@ class Matcher:
         need not equal ``re.search``'s greedy end — differential tests
         should compare existence and start position only.
         """
-        if any(not self.algebra.in_domain(c) for c in string):
+        if not self._load(string):
             return None
-        if string != self._string:
-            self._memo = {}
-            self._string = string
-        n = len(string)
-        for i in range(start, n + 1):
-            for j in range(i, n + 1):
-                if self._match(regex, i, j):
-                    return (i, j)
+        for i in range(start, self._n + 1):
+            ends = self._ends(regex, i)
+            if ends:
+                return (i, (ends & -ends).bit_length() - 1)
         return None
+
+    def _ends(self, node, i):
+        key = (node.uid, i)
+        ends = self._memo.get(key)
+        if ends is None:
+            ends = self._memo[key] = self._compute(node, i)
+        return ends
+
+    def _step(self, node, starts):
+        """The union of ``ends(node, p)`` over every ``p`` in ``starts``."""
+        out = 0
+        while starts:
+            low = starts & -starts
+            out |= self._ends(node, low.bit_length() - 1)
+            starts ^= low
+        return out
+
+    def _compute(self, node, i):
+        kind = node.kind
+        if kind == PRED:
+            s = self._string
+            if i < self._n and self.algebra.member(s[i], node.pred):
+                return 2 << i
+            return 0
+        if kind == CONCAT:
+            ends = 1 << i
+            for child in node.children:
+                ends = self._step(child, ends)
+            return ends
+        if kind == LOOP:
+            return self._loop(node, i)
+        if kind == UNION:
+            ends = 0
+            for child in node.children:
+                ends |= self._ends(child, i)
+            return ends
+        if kind == INTER:
+            ends = -1
+            for child in node.children:
+                ends &= self._ends(child, i)
+            return ends
+        if kind == COMPL:
+            from_i = ((2 << self._n) - 1) >> i << i
+            return from_i & ~self._ends(node.children[0], i)
+        if kind == EPSILON:
+            return 1 << i
+        if kind == EMPTY:
+            return 0
+        if kind in (LOOKAHEAD, NEG_LOOKAHEAD):
+            holds = self._ends(node.children[0], i) != 0
+        elif kind in (LOOKBEHIND, NEG_LOOKBEHIND):
+            body = node.children[0]
+            holds = any(self._ends(body, q) >> i & 1 for q in range(i + 1))
+        else:
+            raise AssertionError("unknown node kind %r" % kind)
+        if kind in (NEG_LOOKAHEAD, NEG_LOOKBEHIND):
+            holds = not holds
+        return 1 << i if holds else 0
+
+    def _loop(self, loop, i):
+        """``ends`` of ``R{lo,hi}`` at ``i``: the union of ``E_k``, the
+        ends after exactly ``k`` body iterations, for ``lo <= k <= hi``.
+
+        A run of ``k > n - i`` iterations has a zero-width one (at most
+        ``n - i`` of them consume), which may be repeated or dropped in
+        place, so ``E_k`` is constant from ``k = n - i + 1`` on.  Hence
+        the first loop meets a fixed point within ``n - i + 2`` rounds,
+        even for ``lo`` far beyond it.  Past ``lo`` the ends are the
+        positions within ``hi - lo`` body steps of ``E_lo``: a
+        breadth-first closure that expands each position once.
+        """
+        body = loop.children[0]
+        ends = 1 << i
+        for _ in range(loop.lo):
+            nxt = self._step(body, ends)
+            if nxt == ends:
+                break
+            ends = nxt
+        frontier = ends
+        rounds = self._n + 1 if loop.hi is INF else loop.hi - loop.lo
+        while frontier and rounds:
+            frontier = self._step(body, frontier) & ~ends
+            ends |= frontier
+            rounds -= 1
+        return ends
 
 
 def matches(algebra, regex, string):

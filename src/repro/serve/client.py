@@ -49,6 +49,7 @@ class DaemonClient:
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         else:
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._timeout = timeout
         self._sock.settimeout(timeout)
         self._sock.connect(target)
         self._handle = self._sock.makefile("rb")
@@ -83,7 +84,7 @@ class DaemonClient:
 
     def recv(self, timeout=None):
         """The next response object, or None on EOF.  ``timeout``
-        overrides the connection default for this read."""
+        overrides the connection default for this read only."""
         if timeout is not None:
             self._sock.settimeout(timeout)
         try:
@@ -92,6 +93,9 @@ class DaemonClient:
             raise DaemonError("timed out waiting for the daemon")
         except OSError as exc:
             raise DaemonError("daemon connection lost: %s" % exc)
+        finally:
+            if timeout is not None and self._sock.fileno() >= 0:
+                self._sock.settimeout(self._timeout)
         if not line:
             return None
         try:

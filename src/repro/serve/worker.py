@@ -11,7 +11,10 @@ build a fresh solver of the named benchmark engine per task, mirroring
 Every task produces exactly one result message; *any* exception during
 solving is mapped to a structured ``error`` result — the worker loop
 itself must only die if its process is killed (which the pool treats
-as a crash and isolates to the task that was running).
+as a crash and isolates to the task that was running).  No sat answer
+leaves a worker unchecked: ``smt2`` models are validated by
+:class:`~repro.solver.smt.SmtSolver`, and ``pattern`` witnesses are
+replayed here through the reference semantics.
 """
 
 import os
@@ -24,8 +27,8 @@ from repro.obs import Observability
 from repro.regex import RegexBuilder, parse
 from repro.solver.engine import RegexSolver
 from repro.solver.lifecycle import CompactionPolicy
-from repro.solver.result import Budget, error_info
-from repro.solver.smt import SmtSolver
+from repro.solver.result import UNKNOWN, Budget, error_info
+from repro.solver.smt import InvalidWitness, SmtSolver, check_witness
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -169,6 +172,15 @@ def _solve_pattern(state, task):
         "error": result.error,
         "stats": _result_stats(result),
     }
+    if result.is_sat:
+        # the engine trusts warm-store rows by root identity only, so a
+        # corrupt row could turn into a witness outside the language:
+        # replay it, and degrade to unknown as SmtSolver does
+        try:
+            check_witness(state.builder, regex, result.witness, "pattern")
+        except InvalidWitness as exc:
+            out.update(status=UNKNOWN, witness=None, reason=str(exc),
+                       error=error_info(exc))
     explanation = _result_explanation(result)
     if explanation is not None:
         out["explanation"] = explanation

@@ -110,7 +110,7 @@ class SmtSolver:
             return SolverResult(
                 UNKNOWN, reason=str(exc), stats={"case_splits": case_splits}
             )
-        except _InvalidWitness as exc:
+        except InvalidWitness as exc:
             # the (pluggable) regex engine reported sat but its witness
             # fails validation against the very constraints it solved:
             # never report such a model as sat — surface a structured
@@ -203,30 +203,20 @@ class SmtSolver:
 
     def _validate_witness(self, var, regex, witness, length_atoms):
         """Check an engine-produced sat witness against *both* theories
-        before it becomes part of a model: regex membership (via the
-        reference semantics, independent of the engine under test) and
-        the arithmetic reading of every length atom.  The engine is
-        pluggable, so a buggy engine could otherwise launder an invalid
-        witness straight into a reported model.
+        before it becomes part of a model: regex membership (via
+        :func:`check_witness`) and the arithmetic reading of every
+        length atom.  The engine is pluggable, so a buggy engine could
+        otherwise launder an invalid witness straight into a reported
+        model.
 
-        Raises :class:`_InvalidWitness`; :meth:`_solve` maps it to an
+        Raises :class:`InvalidWitness`; :meth:`_solve` maps it to an
         ``unknown`` result carrying ``error``.
         """
-        from repro.regex.semantics import Matcher
-
-        if witness is None:
-            raise _InvalidWitness(
-                "engine reported sat for %s without a witness" % var
-            )
-        if not Matcher(self.builder.algebra).matches(regex, witness):
-            raise _InvalidWitness(
-                "engine witness %r for %s is not in the constraint "
-                "language" % (witness, var)
-            )
+        check_witness(self.builder, regex, witness, var)
         for atom, positive in length_atoms:
             holds = _len_cmp(len(witness), atom.op, atom.bound)
             if holds != positive:
-                raise _InvalidWitness(
+                raise InvalidWitness(
                     "engine witness %r for %s violates length atom "
                     "%s(str.len %s) %s %d" % (
                         witness, var, "" if positive else "not ",
@@ -258,8 +248,26 @@ class SmtSolver:
         return ev(formula)
 
 
-class _InvalidWitness(Exception):
+class InvalidWitness(Exception):
     """An engine-produced witness failed post-hoc validation."""
+
+
+def check_witness(builder, regex, witness, subject):
+    """Raise :class:`InvalidWitness` unless ``witness`` is in
+    ``L(regex)`` by the reference semantics, which is independent of
+    every engine under test.  ``subject`` names what the witness is
+    for in the message (an SMT variable, or the pattern)."""
+    from repro.regex.semantics import Matcher
+
+    if witness is None:
+        raise InvalidWitness(
+            "engine reported sat for %s without a witness" % subject
+        )
+    if not Matcher(builder.algebra).matches(regex, witness):
+        raise InvalidWitness(
+            "engine witness %r for %s is not in the constraint "
+            "language" % (witness, subject)
+        )
 
 
 def _len_cmp(length, op, bound):

@@ -110,6 +110,40 @@ def test_timeout_rate_rise_regresses():
     assert any(e["metric"] == "timeout_rate" for e in report["regressions"])
 
 
+def test_wrong_answer_regresses_even_when_offset():
+    """A fix elsewhere in the cell (a timeout turned solved) leaves the
+    solved count and timeout rate flat: the wrong answer must still
+    fail the gate on its own."""
+    before = {"sbd/kaluza": cell(solved=39, timeouts=1)}
+    after = {"sbd/kaluza": cell(solved=39, wrong=1)}
+    report = compare(snap(1, before), snap(2, after))
+    assert [(e["cell"], e["metric"], e["before"], e["after"])
+            for e in report["regressions"]] == [("sbd/kaluza", "wrong", 0, 1)]
+    assert "wrong" in render_report(report)
+
+
+def test_wrong_answer_in_added_cell_regresses():
+    before = {"sbd/kaluza": cell()}
+    after = {"sbd/kaluza": cell(), "sbd/new": cell(suite="new", solved=38,
+                                                    wrong=2)}
+    report = compare(snap(1, before), snap(2, after))
+    assert report["added"] == ["sbd/new"]
+    assert [(e["cell"], e["metric"], e["after"])
+            for e in report["regressions"]] == [("sbd/new", "wrong", 2)]
+
+
+def test_wrong_answer_gates_absolutely():
+    """An unchanged wrong count is not a baseline to hold: it regresses
+    in every snapshot until it is gone, across job counts too."""
+    before = snap(1, {"sbd/kaluza": cell(solved=39, wrong=1)})
+    after = snap(2, {"sbd/kaluza": cell(solved=39, wrong=1)})
+    after["config"] = {"jobs": 2}
+    report = compare(before, after)
+    assert [e["metric"] for e in report["regressions"]] == ["wrong"]
+    fixed = compare(before, snap(3, {"sbd/kaluza": cell()}))
+    assert not has_regressions(fixed)
+
+
 def test_improvements_and_cell_churn_are_reported():
     before = {"sbd/kaluza": cell(median_s=1.0, p90_s=2.0),
               "sbd/gone": cell(suite="gone")}
@@ -167,6 +201,18 @@ def test_bench_ci_compare_only_injected_slowdown_exits_nonzero(
     assert status == 1
     out = capsys.readouterr().out
     assert "regressions" in out and "sbd/kaluza" in out
+
+
+def test_bench_ci_compare_only_seeded_wrong_answer_exits_nonzero(
+        tmp_path, capsys):
+    module = bench_ci()
+    prev = write_snap(tmp_path / "BENCH_0001.json",
+                      snap(1, {"sbd/kaluza": cell(solved=39, timeouts=1)}))
+    cur = write_snap(tmp_path / "BENCH_0002.json",
+                     snap(2, {"sbd/kaluza": cell(solved=39, wrong=1)}))
+    assert module.main(["--compare-only", prev, cur]) == 1
+    out = capsys.readouterr().out
+    assert "sbd/kaluza" in out and "wrong" in out
 
 
 def test_bench_ci_compare_only_bad_file_exits_two(tmp_path, capsys):

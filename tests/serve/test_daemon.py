@@ -19,6 +19,7 @@ from repro.serve.client import DaemonClient, DaemonError
 from repro.serve.daemon import SolverDaemon
 from repro.solver.engine import RegexSolver
 from repro.solver.result import Budget
+from repro.solver.store import SolverStore
 
 BUDGET = {"fuel": 100000, "seconds": 5.0}
 
@@ -186,6 +187,26 @@ class TestServing:
             daemon.stop()
 
 
+    def test_recv_timeout_override_does_not_stick(self, daemon_path):
+        """A per-read ``timeout`` (``solve`` passes one on every read)
+        must not become the connection default that later ``stats`` and
+        ``ping`` calls wait under."""
+        daemon = start_daemon(daemon_path, workers=1)
+        try:
+            with DaemonClient(daemon_path, timeout=30.0) as client:
+                client.solve([Job("t", "pattern", "a|b")], timeout=20.0)
+                assert client._sock.gettimeout() == 30.0
+                assert client.ping()
+                client.send({"op": "ping"})
+                assert client.recv(timeout=5.0)["type"] == "pong"
+                assert client._sock.gettimeout() == 30.0
+                with pytest.raises(DaemonError):
+                    client.recv(timeout=0.05)  # nothing is pending
+                assert client._sock.gettimeout() == 30.0
+        finally:
+            daemon.stop()
+
+
 class TestBackpressure:
     def test_admission_rejection_at_the_watermark(self, daemon_path):
         admission = AdmissionController(
@@ -288,6 +309,45 @@ class TestTrustBoundary:
                 # connection still usable
                 client.send({"op": "ping"})
                 assert client.recv(timeout=10.0)["type"] == "pong"
+        finally:
+            daemon.stop()
+
+    def test_corrupt_store_row_never_reaches_client_as_sat(
+            self, daemon_path, tmp_path):
+        """Warm-store rows are trusted by root identity only.  Retarget
+        a non-root row of a captured fragment to a nullable state: the
+        warm solve then finds a "witness" outside the language, which
+        the worker's replay must turn into a structured unknown."""
+        pattern = "a{3}b"
+        builder = RegexBuilder(IntervalAlgebra())
+        store = SolverStore()
+        RegexSolver(builder, store=store).is_satisfiable(
+            parse(builder, pattern), Budget(**BUDGET)
+        )
+        snapshot = store.to_dict()
+        (fragment,) = snapshot["fragments"]
+        nullable = next(
+            idx for idx, text in enumerate(fragment["states"])
+            if parse(builder, text).nullable
+        )
+        row = next(idx for idx in sorted(fragment["rows"]) if idx != "0")
+        for _ranges, targets in fragment["rows"][row]:
+            targets[:] = [nullable] * len(targets)
+        storepath = tmp_path / "corrupt.json"
+        storepath.write_text(json.dumps(snapshot), encoding="utf-8")
+
+        daemon = start_daemon(daemon_path, workers=1,
+                              store_path=str(storepath))
+        try:
+            with DaemonClient(daemon_path) as client:
+                outcomes = client.solve([Job("c", "pattern", pattern)],
+                                        timeout=60.0)
+                stats = client.stats()
+            reply = outcomes["c"]
+            assert stats["store"]["hits"] >= 1  # the corrupt row was used
+            assert reply["status"] == "unknown"
+            assert reply["witness"] is None
+            assert reply["error"]["type"] == "InvalidWitness"
         finally:
             daemon.stop()
 
