@@ -14,7 +14,7 @@ import time
 
 from repro.alphabet import BDDAlgebra, IntervalAlgebra
 from repro.derivatives.condtree import DerivativeEngine
-from repro.derivatives.dnf import delta_dnf
+from repro.reference.dnf import delta_dnf
 from repro.regex import RegexBuilder, parse
 from repro.solver import Budget, RegexSolver
 
@@ -52,7 +52,7 @@ def test_ablation_fused_vs_literal(benchmark, builder):
 
     fused_states = benchmark.pedantic(fused_pass, rounds=1, iterations=1)
 
-    from repro.derivatives.dnf import successors as literal_successors
+    from repro.reference.dnf import successors as literal_successors
 
     started = time.perf_counter()
     literal_states = sum(
@@ -139,7 +139,7 @@ def test_ablation_simplify_pass(benchmark, builder):
     """Does the post-hoc simplification pass shrink derivative state
     spaces on the handwritten regexes?"""
     from repro.regex.simplify import simplify_fixpoint
-    from repro.sbfa.sbfa import delta_plus
+    from repro.reference.sbfa.sbfa import delta_plus
 
     regexes = [parse(builder, p) for p in PATTERNS]
     # make fusion opportunities explicit

@@ -6,8 +6,8 @@ ratio table goes to ``benchmarks/out/state_counts.txt``.
 """
 
 from repro.bench.generators.patterns import PATTERN_NAMES, PATTERNS
+from repro.reference.sbfa.sbfa import from_regex
 from repro.regex import parse
-from repro.sbfa.sbfa import from_regex
 
 from conftest import write_artifact, write_json_artifact
 

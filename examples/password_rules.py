@@ -10,10 +10,8 @@ checked for consistency and for redundancy.
 Run:  python examples/password_rules.py
 """
 
-from repro import (
-    IntervalAlgebra, PropagationEngine, RegexBuilder, RegexSolver, parse,
-)
-from repro.solver.rules import RuleTrace
+from repro import IntervalAlgebra, RegexBuilder, RegexSolver, parse
+from repro.reference.rules import PropagationEngine, RuleTrace
 
 
 def main():

@@ -18,7 +18,9 @@ Quickstart::
     assert result.is_sat and result.witness is not None
 
 See README.md for the architecture overview and DESIGN.md for the
-paper-to-module map.
+paper-to-module map.  The paper's literal calculus, SBFAs and Figure 3
+rule engine live in :mod:`repro.reference`, which this package does
+not import.
 """
 
 from repro.alphabet import (
@@ -26,13 +28,11 @@ from repro.alphabet import (
 )
 from repro.regex import RegexBuilder, parse, to_pattern
 from repro.regex.semantics import Matcher, matches
-from repro.derivatives import DerivativeEngine, delta_dnf, derivative
+from repro.derivatives import DerivativeEngine
 from repro.obs import Observability
 from repro.solver import (
-    Budget, PropagationEngine, RegexSolver, SmtSolver, SolverResult,
-    SolverStats, formula,
+    Budget, RegexSolver, SmtSolver, SolverResult, SolverStats, formula,
 )
-from repro.sbfa import SBFA, from_regex as sbfa_from_regex
 from repro.smtlib import parse_script, run_script, script_text
 from repro.matcher import Match, RegexMatcher, compile_pattern
 from repro.analysis import LanguageCounter
@@ -46,10 +46,8 @@ __all__ = [
     "BooleanAlgebra", "IntervalAlgebra", "BitsetAlgebra", "BDDAlgebra",
     "CharSet",
     "RegexBuilder", "parse", "to_pattern", "Matcher", "matches",
-    "derivative", "delta_dnf", "DerivativeEngine",
-    "RegexSolver", "SmtSolver", "PropagationEngine", "Budget",
+    "DerivativeEngine", "RegexSolver", "SmtSolver", "Budget",
     "SolverResult", "SolverStats", "Observability", "formula",
-    "SBFA", "sbfa_from_regex",
     "parse_script", "run_script", "script_text",
     "RegexMatcher", "Match", "compile_pattern",
     "SolverContext", "BisimulationChecker", "LanguageCounter",

@@ -44,6 +44,11 @@ anything else the Chrome ``trace_event`` format that loads in
 ``chrome://tracing`` / Perfetto) and ``--profile FILE`` (write the
 span-derived collapsed stacks — flamegraph.pl / speedscope input —
 and print the top-K self-time hotspot table).
+
+A typed library error raised by a command (a malformed pattern, a
+construct an engine refuses) prints one ``repro: <Type>: <message>``
+line on stderr and exits 2, like the operator mistakes ``status`` and
+``replay`` diagnose.
 """
 
 import argparse
@@ -51,6 +56,7 @@ import json
 import sys
 
 from repro.alphabet import IntervalAlgebra
+from repro.errors import ReproError
 from repro.matcher import RegexMatcher
 from repro.obs import Observability, Tracer, render_hotspots, write_collapsed
 from repro.regex import RegexBuilder, parse, to_pattern
@@ -443,6 +449,16 @@ def _batch_status(report):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as exc:
+        # a typed library error (bad pattern, refused construct, ...)
+        # is a diagnosis for the operator, not a crash
+        print("repro: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
+
+
+def _run(args):
     algebra = IntervalAlgebra(127) if args.ascii else IntervalAlgebra()
     builder = RegexBuilder(algebra)
     budget = lambda: Budget(fuel=args.fuel, seconds=args.seconds)

@@ -15,7 +15,7 @@ test suite's cross-checks.
 
 from collections import deque
 
-from repro.errors import UnsupportedError
+from repro.errors import refuse_lookarounds
 from repro.matcher.dfa_cache import LazyDfa
 from repro.regex.ast import (
     COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOP, PRED, UNION,
@@ -36,14 +36,10 @@ def structural_min(regex):
     regexes are handled.
     """
 
-    if regex.has_look:
-        # a zero-width assertion's contribution is 0, but under ~ the
-        # complement rule below would then claim bounds that positional
-        # semantics can break (~(?=a) contains eps); typed refusal
-        raise UnsupportedError(
-            "structural length bounds do not support zero-width "
-            "assertions; eliminate lookarounds first"
-        )
+    # a zero-width assertion's contribution is 0, but under ~ the
+    # complement rule below would then claim bounds that positional
+    # semantics can break (~(?=a) contains eps)
+    refuse_lookarounds(regex, "structural length bounds")
 
     def bound(node, kids):
         kind = node.kind
@@ -90,11 +86,7 @@ def structural_max(regex):
     handled.
     """
 
-    if regex.has_look:
-        raise UnsupportedError(
-            "structural length bounds do not support zero-width "
-            "assertions; eliminate lookarounds first"
-        )
+    refuse_lookarounds(regex, "structural length bounds")
 
     def bound(node, kids):
         kind = node.kind

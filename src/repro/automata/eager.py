@@ -14,7 +14,7 @@ StateBudget` blows before emptiness is ever checked, while the lazy
 derivative solver answers in a handful of states.
 """
 
-from repro.errors import BudgetExceeded, UnsupportedError
+from repro.errors import BudgetExceeded, refuse_lookarounds
 from repro.regex.ast import (
     COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOP, PRED, UNION,
 )
@@ -31,11 +31,7 @@ def _is_standard(regex):
 
 def eager_compile(algebra, regex, budget=None):
     """Compile an ERE into an SFA, eagerly materializing all states."""
-    if regex.has_look:
-        raise UnsupportedError(
-            "automata compilation does not support zero-width "
-            "assertions; eliminate lookarounds first"
-        )
+    refuse_lookarounds(regex, "automata compilation")
     budget = budget or StateBudget()
     return _compile(algebra, regex, budget)
 

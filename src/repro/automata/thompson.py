@@ -11,10 +11,9 @@ baseline treats Boolean operators at the automaton level
 (:mod:`repro.automata.ops`).
 """
 
-from repro.errors import UnsupportedError
+from repro.errors import UnsupportedError, refuse_lookarounds
 from repro.regex.ast import (
-    COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOK_KINDS, LOOP, PRED,
-    UNION,
+    COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOP, PRED, UNION,
 )
 from repro.automata.sfa import SFA, StateBudget
 
@@ -79,11 +78,6 @@ class _NfaBuilder:
                 "Thompson construction handles standard regexes only; "
                 "%s must be applied at the automaton level" % kind
             )
-        if kind in LOOK_KINDS:
-            raise UnsupportedError(
-                "Thompson construction does not support zero-width "
-                "assertions; eliminate lookarounds first"
-            )
         raise AssertionError("unknown node kind %r" % kind)
 
     def _loop(self, regex):
@@ -116,6 +110,7 @@ class _NfaBuilder:
 
 def thompson(algebra, regex, budget=None):
     """Compile a standard regex to a (nondeterministic, epsilon) SFA."""
+    refuse_lookarounds(regex, "Thompson construction")
     budget = budget or StateBudget()
     nfa = _NfaBuilder(algebra, budget)
     entry, exit_ = nfa.fragment(regex)

@@ -14,10 +14,9 @@ solver surfaces as an *unknown* answer, mirroring the behaviour of
 tools without complement support in the paper's evaluation.
 """
 
-from repro.errors import UnsupportedError
+from repro.errors import BudgetExceeded, UnsupportedError, refuse_lookarounds
 from repro.regex.ast import (
-    COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOK_KINDS, LOOP, PRED,
-    UNION,
+    COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOP, PRED, UNION,
 )
 
 
@@ -27,6 +26,11 @@ def linear_form(builder, regex):
     The pairs need not have disjoint predicates (this is an NFA view);
     unsatisfiable pairs are dropped.
     """
+    refuse_lookarounds(regex, "Antimirov partial derivatives")
+    return _linear_form(builder, regex)
+
+
+def _linear_form(builder, regex):
     algebra = builder.algebra
     kind = regex.kind
     if kind in (EMPTY, EPSILON):
@@ -38,10 +42,10 @@ def linear_form(builder, regex):
         tail = builder.concat(list(regex.children[1:]))
         pairs = [
             (phi, builder.concat([cont, tail]))
-            for phi, cont in linear_form(builder, head)
+            for phi, cont in _linear_form(builder, head)
         ]
         if head.nullable:
-            pairs.extend(linear_form(builder, tail))
+            pairs.extend(_linear_form(builder, tail))
         return _dedup(pairs)
     if kind == LOOP:
         body = regex.children[0]
@@ -50,18 +54,18 @@ def linear_form(builder, regex):
         rest = builder.loop(body, lo, hi)
         return _dedup(
             (phi, builder.concat([cont, rest]))
-            for phi, cont in linear_form(builder, body)
+            for phi, cont in _linear_form(builder, body)
         )
     if kind == UNION:
         pairs = []
         for child in regex.children:
-            pairs.extend(linear_form(builder, child))
+            pairs.extend(_linear_form(builder, child))
         return _dedup(pairs)
     if kind == INTER:
         # pairwise product of the children's linear forms
-        current = linear_form(builder, regex.children[0])
+        current = _linear_form(builder, regex.children[0])
         for child in regex.children[1:]:
-            child_pairs = linear_form(builder, child)
+            child_pairs = _linear_form(builder, child)
             merged = []
             for phi, cont in current:
                 for psi, cont2 in child_pairs:
@@ -73,11 +77,6 @@ def linear_form(builder, regex):
     if kind == COMPL:
         raise UnsupportedError(
             "Antimirov partial derivatives do not support complement"
-        )
-    if kind in LOOK_KINDS:
-        raise UnsupportedError(
-            "Antimirov partial derivatives do not support zero-width "
-            "assertions; eliminate lookarounds first"
         )
     raise AssertionError("unknown node kind %r" % kind)
 
@@ -124,7 +123,8 @@ def reachable_states(builder, regex, limit=100000):
 
     This is the (symbolic) Antimirov NFA state space; for standard
     regexes it is linear in the regex size, which the tests check
-    against Theorem 7.3's SBFA bound.
+    against Theorem 7.3's SBFA bound.  Past ``limit`` states it raises
+    :class:`~repro.errors.BudgetExceeded`.
     """
     seen = {regex}
     stack = [regex]
@@ -133,7 +133,7 @@ def reachable_states(builder, regex, limit=100000):
         for _, target in linear_form(builder, state):
             if target not in seen:
                 if len(seen) >= limit:
-                    raise UnsupportedError("state limit exceeded")
+                    raise BudgetExceeded("state limit exceeded")
                 seen.add(target)
                 stack.append(target)
     return seen

@@ -13,10 +13,9 @@ class.  This module provides:
 """
 
 from repro.alphabet.minterms import minterms
-from repro.errors import UnsupportedError
+from repro.errors import refuse_lookarounds
 from repro.regex.ast import (
-    COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOK_KINDS, LOOP, PRED,
-    UNION,
+    COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOP, PRED, UNION,
 )
 
 
@@ -24,8 +23,12 @@ def brzozowski(builder, regex, char):
     """The classical derivative ``D_char(regex)``.
 
     Out-of-domain characters derive to bottom (checked up front:
-    ``D_a(~R) = ~D_a(R)`` would otherwise wrongly admit them).
+    ``D_a(~R) = ~D_a(R)`` would otherwise wrongly admit them).  The
+    zero-width node-local derivative would be bottom, so iterated
+    matching would silently mis-derive ``(?=a)a`` on ``a``: assertions
+    are refused instead.
     """
+    refuse_lookarounds(regex, "Brzozowski derivatives")
     if not builder.algebra.in_domain(char):
         return builder.empty
     memo = {}
@@ -67,16 +70,6 @@ def _derive(builder, node, char, go):
         return builder.inter([go(c) for c in node.children])
     if kind == COMPL:
         return builder.compl(go(node.children[0]))
-    if kind in LOOK_KINDS:
-        # the zero-width node-local derivative is bottom, but iterated
-        # matching through the compositional concat rule would then be
-        # silently wrong (e.g. "(?=a)a" would derive to bottom on 'a'):
-        # refuse with a typed error so callers degrade to unknown —
-        # eliminate lookarounds first (repro.regex.transform)
-        raise UnsupportedError(
-            "Brzozowski derivatives do not support zero-width "
-            "assertions; eliminate lookarounds first"
-        )
     raise AssertionError("unknown node kind %r" % kind)
 
 

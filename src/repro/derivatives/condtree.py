@@ -1,9 +1,9 @@
 """Fused, clean conditional-tree derivatives — what dZ3 actually computes.
 
-The literal pipeline ``delta -> NNF -> lift -> DNF`` of the sibling
-modules is ideal for studying the calculus but rebuilds intermediate
-transition regexes.  This module fuses the whole pipeline into one
-memoized recursion producing a *clean conditional tree*:
+The literal pipeline ``delta -> NNF -> lift -> DNF`` of
+:mod:`repro.reference` is ideal for studying the calculus but rebuilds
+intermediate transition regexes.  This module fuses the whole pipeline
+into one memoized recursion producing a *clean conditional tree*:
 
 * an interned binary decision tree over character predicates,
 * every branch satisfiable given the predicates on its path (the
@@ -19,11 +19,10 @@ check this engine pointwise against the literal pipeline and against
 classical Brzozowski derivatives.
 """
 
-from repro.errors import UnsupportedError
+from repro.errors import refuse_lookarounds
 from repro.obs import Observability
 from repro.regex.ast import (
-    COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOK_KINDS, LOOP, PRED,
-    UNION,
+    COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOP, PRED, UNION,
 )
 
 
@@ -254,7 +253,17 @@ class DerivativeEngine:
     # -- the derivative ------------------------------------------------------------
 
     def derivative(self, regex):
-        """The clean conditional tree for ``delta_dnf(regex)``."""
+        """The clean conditional tree for ``delta_dnf(regex)``.
+
+        Assertions are positional: their truth at a state depends on
+        context the fused automaton does not carry, so they are refused
+        here, before any work.  The solver eliminates lookarounds
+        (:mod:`repro.regex.transform`) before reaching this engine.
+        """
+        refuse_lookarounds(regex, "conditional-tree derivatives")
+        return self._tree(regex)
+
+    def _tree(self, regex):
         cached = self._deriv_memo.get(regex.uid)
         if cached is not None:
             self.deriv_memo_hits += 1
@@ -281,37 +290,27 @@ class DerivativeEngine:
         if kind == CONCAT:
             head = regex.children[0]
             tail = builder.concat(list(regex.children[1:]))
-            left = self.concat(self.derivative(head), tail)
+            left = self.concat(self._tree(head), tail)
             if head.nullable:
-                return self.meld(_UNION, left, self.derivative(tail))
+                return self.meld(_UNION, left, self._tree(tail))
             return left
         if kind == LOOP:
             body = regex.children[0]
             lo = max(regex.lo - 1, 0)
             hi = regex.hi if regex.hi is INF else regex.hi - 1
-            return self.concat(self.derivative(body), builder.loop(body, lo, hi))
+            return self.concat(self._tree(body), builder.loop(body, lo, hi))
         if kind == UNION:
             return self._fold(_UNION, regex.children)
         if kind == INTER:
             return self._fold(_INTER, regex.children)
         if kind == COMPL:
-            return self.negate(self.derivative(regex.children[0]))
-        if kind in LOOK_KINDS:
-            # assertions are positional: their truth at a state depends
-            # on context the fused automaton does not carry, and the
-            # compositional concat rule above would silently mis-derive
-            # through them.  Typed refusal; the solver eliminates
-            # lookarounds (repro.regex.transform) before reaching here.
-            raise UnsupportedError(
-                "conditional-tree derivatives do not support zero-width "
-                "assertions; eliminate lookarounds first"
-            )
+            return self.negate(self._tree(regex.children[0]))
         raise AssertionError("unknown node kind %r" % kind)
 
     def _fold(self, op, children):
-        result = self.derivative(children[0])
+        result = self._tree(children[0])
         for child in children[1:]:
-            result = self.meld(op, result, self.derivative(child))
+            result = self.meld(op, result, self._tree(child))
         return result
 
     # -- lifecycle -----------------------------------------------------------------

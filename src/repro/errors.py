@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library, and the one
+capability check that refuses zero-width assertions."""
 
 
 class ReproError(Exception):
@@ -29,8 +30,10 @@ class SmtLibError(ReproError):
 
 
 class UnsupportedError(ReproError):
-    """A (baseline) solver was asked to handle a construct it does not
-    support; mirrors real solvers answering *unknown* on e.g. complement."""
+    """An engine refused a construct it has no sound rule for: zero-width
+    assertions in every derivative and automaton engine, complement in
+    the baselines.  Solver callers answer *unknown*, as real solvers do.
+    Running out of a resource is :class:`BudgetExceeded` instead."""
 
 
 class BudgetExceeded(ReproError):
@@ -40,3 +43,21 @@ class BudgetExceeded(ReproError):
         super().__init__(message)
         self.fuel_used = fuel_used
         self.elapsed = elapsed
+
+
+def refuse_lookarounds(regex, engine):
+    """The one capability check for zero-width assertions.
+
+    Every derivative and automaton engine calls this on the root it was
+    handed, before doing any work.  ``has_look`` is a subtree flag, so
+    the root check covers every node.  No engine has a sound assertion
+    rule: an assertion's truth depends on context a derivative state
+    does not carry, so a node-local rule derives wrong answers through
+    concatenation.  Eliminate lookarounds first
+    (:func:`repro.regex.transform.eliminate_lookarounds`).
+    """
+    if regex.has_look:
+        raise UnsupportedError(
+            "%s: zero-width assertions are unsupported; eliminate "
+            "lookarounds first" % engine
+        )

@@ -215,7 +215,7 @@ def explain_witness(solver, root, witness):
     """Rebuild a checkable witness path for a known witness string.
 
     Used by solvers that find witnesses without a parent chain (the
-    rule-by-rule :class:`~repro.solver.rules.PropagationEngine`): walks
+    rule-by-rule :class:`~repro.reference.rules.PropagationEngine`): walks
     the conditional trees from ``root``, choosing at each position the
     row whose guard admits the witness character and, among its
     alternatives, a successor that still accepts the remaining suffix

@@ -5,7 +5,6 @@ from repro.solver.graph import RegexGraph
 from repro.solver.result import (
     Budget, SAT, SolverResult, SolverStats, UNKNOWN, UNSAT,
 )
-from repro.solver.rules import PropagationEngine, RuleTrace
 from repro.solver.smt import SmtSolver
 from repro.solver.context import SolverContext
 from repro.solver.equivalence import BisimulationChecker
@@ -13,7 +12,6 @@ from repro.solver import baselines, formula
 
 __all__ = [
     "RegexSolver", "RegexGraph", "Budget", "SolverResult", "SolverStats",
-    "SAT", "UNSAT", "UNKNOWN",
-    "PropagationEngine", "RuleTrace", "SmtSolver", "formula",
+    "SAT", "UNSAT", "UNKNOWN", "SmtSolver", "formula",
     "SolverContext", "BisimulationChecker", "baselines",
 ]

@@ -1,10 +1,9 @@
-"""Rendering derivative graphs and SBFAs (the paper's Figures 2 & 5).
+"""Rendering derivative graphs (the paper's Figure 2).
 
-Text and Graphviz-dot output for:
-
-* the derivative transition structure of a regex (states = regexes,
-  edges labelled with guard predicates — Figure 2's view);
-* an SBFA's transition regexes (Figure 5's view).
+Text and Graphviz-dot output for the derivative transition structure
+of a regex (states = regexes, edges labelled with guard predicates —
+Figure 2's view) and for verdict explanations.  Figure 5's SBFA view
+is :func:`repro.reference.sbfa.sbfa.sbfa_to_text`.
 
 Purely presentational: used by examples and docs, tested for shape.
 """
@@ -141,19 +140,3 @@ def render_explanation(explanation, name="explanation"):
     lines.append("}")
     return "\n".join(lines)
 
-
-def sbfa_to_text(sbfa, algebra=None):
-    """A Figure 5-style rendering of an SBFA's transition regexes."""
-    from repro.derivatives.transition import pretty
-
-    algebra = algebra or sbfa.algebra
-    lines = []
-    ordered = sorted(sbfa.states, key=repr)
-    for state in ordered:
-        marker = "((F))" if state in sbfa.finals else "     "
-        label = (
-            to_pattern(state, algebra) if hasattr(state, "kind") else repr(state)
-        )
-        lines.append("%s %s" % (marker, label))
-        lines.append("      delta = %s" % pretty(sbfa.delta[state], algebra))
-    return "\n".join(lines)

@@ -7,7 +7,7 @@ from repro.derivatives.antimirov import (
     linear_form, matches, partial_derivatives, reachable_states,
 )
 from repro.derivatives.brzozowski import brzozowski
-from repro.errors import UnsupportedError
+from repro.errors import BudgetExceeded, UnsupportedError
 from repro.regex import parse
 from repro.regex.semantics import Matcher, enumerate_strings
 from tests.conftest import ALPHABET
@@ -93,5 +93,5 @@ def test_reachable_states_linear_for_standard(bitset_builder):
 def test_reachable_states_limit(bitset_builder):
     b = bitset_builder
     r = parse(b, "(a|b)*0.{8}")
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(BudgetExceeded):
         reachable_states(b, r, limit=2)

@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 
 from repro.derivatives.condtree import DerivativeEngine
-from repro.derivatives.dnf import delta_dnf
-from repro.derivatives.transition import apply
+from repro.reference.dnf import delta_dnf
+from repro.reference.transition import apply
 from repro.regex import parse
 from repro.regex.semantics import Matcher, enumerate_strings
 from tests.conftest import ALPHABET

@@ -4,8 +4,8 @@ the Brzozowski derivative, for the whole ERE class."""
 from hypothesis import given, settings
 
 from repro.derivatives.brzozowski import brzozowski
-from repro.derivatives.derivative import brzozowski_via_delta, derivative
-from repro.derivatives.transition import apply
+from repro.reference.derivative import brzozowski_via_delta, derivative
+from repro.reference.transition import apply
 from repro.regex import parse
 from repro.regex.semantics import Matcher, enumerate_strings
 from tests.conftest import ALPHABET

@@ -2,11 +2,11 @@
 
 from hypothesis import given, settings
 
-from repro.derivatives.derivative import derivative
-from repro.derivatives.dnf import delta_dnf, dnf, is_dnf, successors
-from repro.derivatives.lift import lift
-from repro.derivatives.nnf import is_nnf, nnf
-from repro.derivatives.transition import (
+from repro.reference.derivative import derivative
+from repro.reference.dnf import delta_dnf, dnf, is_dnf, successors
+from repro.reference.lift import lift
+from repro.reference.nnf import is_nnf, nnf
+from repro.reference.transition import (
     TRCompl, TRCond, TRInter, TRLeaf, apply,
 )
 from repro.regex import parse

@@ -4,8 +4,8 @@ concatenation lifting (Lemma 4.1)."""
 import pytest
 from hypothesis import given, settings
 
-from repro.derivatives.derivative import derivative
-from repro.derivatives.transition import (
+from repro.reference.derivative import derivative
+from repro.reference.transition import (
     TRCompl, TRCond, TRInter, TRLeaf, TRUnion, apply, guards, negate,
     nontrivial_terminals, pretty, terminals, tr_concat,
 )

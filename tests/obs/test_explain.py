@@ -14,9 +14,9 @@ from repro.obs.explain import (
     certificate_for_task, certificate_from_json, certificate_to_json,
     check_certificate, explain_pattern, explain_witness,
 )
+from repro.reference.rules import PropagationEngine
 from repro.regex import parse
 from repro.solver import Budget, RegexSolver
-from repro.solver.rules import PropagationEngine
 from repro.solver.smt import SmtSolver
 from repro.visualize import render_explanation
 

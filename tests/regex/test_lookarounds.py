@@ -13,7 +13,17 @@ import sys
 
 import pytest
 
+from repro.analysis.lengths import structural_max, structural_min
+from repro.automata.eager import eager_compile
+from repro.automata.sfa import StateBudget
+from repro.automata.thompson import thompson
+from repro.derivatives.antimirov import linear_form
+from repro.derivatives.brzozowski import brzozowski
+from repro.derivatives.condtree import DerivativeEngine
 from repro.errors import RegexSyntaxError, UnsupportedError
+from repro.reference.derivative import brzozowski_via_delta, derivative
+from repro.reference.dnf import delta_dnf
+from repro.reference.sbfa.sbfa import from_regex as sbfa_from_regex
 from repro.regex import RegexBuilder, parse, to_pattern
 from repro.regex.ast import (
     EPSILON, LOOK_KINDS, LOOKAHEAD, LOOKBEHIND, NEG_LOOKAHEAD,
@@ -22,6 +32,9 @@ from repro.regex.ast import (
 from repro.regex.semantics import Matcher, language_upto
 from repro.regex.transform import eliminate_lookarounds, reverse
 from repro.solver import RegexSolver
+from repro.solver.baselines import (
+    AntimirovSolver, EagerAutomataSolver, MintermSolver,
+)
 
 #: The seven surface constructs the issue names.
 CONSTRUCTS = [
@@ -298,11 +311,81 @@ def test_membership_routes_assertions_to_positional_matcher(builder):
     assert not solver.membership("ab", regex)
 
 
-def test_derivative_passes_degrade_typed(builder):
-    # passes with no sound assertion rule must raise the typed error,
-    # which solver callers convert to unknown
-    from repro.derivatives.brzozowski import brzozowski
+def _refused(call):
+    """An entry with no work counter of its own: the interned-regex
+    count the test checks is its only measure of work."""
+    def run(builder, regex):
+        with pytest.raises(UnsupportedError, match="lookarounds"):
+            call(builder, regex)
+        return 0
+    return run
 
-    regex = parse(builder, r"(?=a)a")
-    with pytest.raises(UnsupportedError):
-        brzozowski(builder, regex, "a")
+
+def _condtree(method):
+    def run(builder, regex):
+        engine = DerivativeEngine(builder)
+        with pytest.raises(UnsupportedError, match="lookarounds"):
+            getattr(engine, method)(regex)
+        return engine.deriv_memo_misses + engine.meld_memo_misses
+    return run
+
+
+def _automaton(compile_):
+    def run(builder, regex):
+        states = StateBudget()
+        with pytest.raises(UnsupportedError, match="lookarounds"):
+            compile_(builder.algebra, regex, states)
+        return states.created
+    return run
+
+
+def _baseline(make):
+    def run(builder, regex):
+        result = make(builder).is_satisfiable(regex)
+        assert result.is_unknown and "lookarounds" in result.reason
+        return 0
+    return run
+
+
+#: Every derivative and automaton entry point: product engines first,
+#: then the paper-reference ones.  Each returns the work it did before
+#: refusing.
+ENGINE_ENTRIES = {
+    "condtree.transitions": _condtree("transitions"),
+    "condtree.derivative": _condtree("derivative"),
+    "brzozowski": _refused(lambda b, r: brzozowski(b, r, "a")),
+    "linear_form": _refused(linear_form),
+    "thompson": _automaton(thompson),
+    "eager_compile": _automaton(eager_compile),
+    "structural_min": _refused(lambda b, r: structural_min(r)),
+    "structural_max": _refused(lambda b, r: structural_max(r)),
+    "eager-sfa": _baseline(EagerAutomataSolver),
+    "eager-dfa": _baseline(
+        lambda b: EagerAutomataSolver(b, determinize_all=True)),
+    "antimirov-pd": _baseline(AntimirovSolver),
+    "brzozowski-minterm": _baseline(MintermSolver),
+    "reference.delta": _refused(derivative),
+    "reference.delta_dnf": _refused(delta_dnf),
+    "reference.brzozowski_via_delta": _refused(
+        lambda b, r: brzozowski_via_delta(b, r, "a")),
+    "reference.sbfa_from_regex": _refused(sbfa_from_regex),
+}
+
+#: A lookahead the condtree, Brzozowski and Antimirov recursions never
+#: reached before the refusal moved to the root, and three inputs the
+#: literal pipeline answered wrongly: SBFA(``(?=a)a``) rejected ``a``,
+#: and ``brzozowski_via_delta`` left non-nullable residuals of
+#: ``a(?<=a)`` on ``a`` and of ``\bab\b`` on ``ab``.
+REFUSED_PATTERNS = [r"ab(?=c)c", r"(?=a)a", r"a(?<=a)", r"\bab\b"]
+
+
+@pytest.mark.parametrize("pattern", REFUSED_PATTERNS)
+@pytest.mark.parametrize("entry", list(ENGINE_ENTRIES))
+def test_derivative_passes_degrade_typed(builder, entry, pattern):
+    # no engine has a sound assertion rule: each refuses at its root,
+    # before deriving or building anything, with the typed error that
+    # solver callers convert to unknown
+    regex = parse(builder, pattern)
+    interned = builder.interned_count
+    assert ENGINE_ENTRIES[entry](builder, regex) == 0
+    assert builder.interned_count == interned

@@ -93,7 +93,7 @@ def test_fixpoint_terminates(bitset_builder):
 
 
 def test_simplified_derivative_state_space_not_larger(bitset_builder):
-    from repro.sbfa.sbfa import from_regex
+    from repro.reference.sbfa.sbfa import from_regex
 
     b = bitset_builder
     r = b.concat([b.char("a")] * 6)  # aaaaaa -> a{6}

@@ -2,10 +2,10 @@
 
 from hypothesis import given, settings
 
+from repro.reference.sbfa.bfa import from_sbfa
+from repro.reference.sbfa.sbfa import from_regex
 from repro.regex import parse
 from repro.regex.semantics import Matcher, enumerate_strings
-from repro.sbfa.bfa import from_sbfa
-from repro.sbfa.sbfa import from_regex
 from tests.conftest import ALPHABET
 from tests.strategies import b_re_regexes
 

@@ -1,6 +1,6 @@
 """Boolean state combinations."""
 
-from repro.sbfa import boolstate as B
+from repro.reference.sbfa import boolstate as B
 
 
 def test_constructors_simplify():

@@ -8,9 +8,9 @@ regexes with loops the bound is checked against the *expanded* count.
 
 from hypothesis import given, settings
 
+from repro.reference.sbfa.sbfa import from_regex
 from repro.regex import parse
 from repro.regex.ast import INF, LOOP, PRED
-from repro.sbfa.sbfa import from_regex
 from tests.strategies import b_re_regexes, standard_regexes
 
 

@@ -3,11 +3,11 @@
 from hypothesis import given, settings
 
 from repro.alphabet.bitset import BitsetAlgebra
+from repro.reference.sbfa import boolstate as B
+from repro.reference.sbfa.safa import SAFA, from_sbfa, to_sbfa
+from repro.reference.sbfa.sbfa import from_regex
 from repro.regex import parse
 from repro.regex.semantics import Matcher, enumerate_strings
-from repro.sbfa import boolstate as B
-from repro.sbfa.safa import SAFA, from_sbfa, to_sbfa
-from repro.sbfa.sbfa import from_regex
 from tests.conftest import ALPHABET
 from tests.strategies import b_re_regexes
 

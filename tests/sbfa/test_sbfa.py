@@ -3,10 +3,10 @@ acceptance agreement."""
 
 from hypothesis import given, settings
 
+from repro.reference.sbfa import boolstate as B
+from repro.reference.sbfa.sbfa import delta_plus, from_regex
 from repro.regex import parse
 from repro.regex.semantics import Matcher, enumerate_strings
-from repro.sbfa import boolstate as B
-from repro.sbfa.sbfa import delta_plus, from_regex
 from tests.conftest import ALPHABET
 from tests.strategies import b_re_regexes, extended_regexes
 

@@ -3,8 +3,9 @@ optimized solver, and rule-firing accounting."""
 
 from hypothesis import given, settings
 
+from repro.reference.rules import PropagationEngine, RuleTrace
 from repro.regex import parse
-from repro.solver import Budget, PropagationEngine, RegexSolver, RuleTrace
+from repro.solver import Budget, RegexSolver
 from repro.solver.result import UNKNOWN
 from tests.strategies import extended_regexes
 

@@ -103,6 +103,19 @@ def test_requires_command():
         main([])
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["graph", "(?=a)a"], "UnsupportedError"),
+    (["check", "("], "RegexSyntaxError"),
+])
+def test_typed_library_error_is_one_line_diagnostic(capsys, argv, error):
+    status = main(["--ascii"] + argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err.startswith("repro: %s: " % error)
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 SMT2_SAT = (
     "(set-logic QF_S)\n(declare-const x String)\n"
     '(assert (str.in_re x (re.+ (str.to_re "ab"))))\n(check-sat)\n'

@@ -1,10 +1,8 @@
 """Derivative-graph and SBFA rendering."""
 
+from repro.reference.sbfa.sbfa import from_regex, sbfa_to_text
 from repro.regex import parse
-from repro.sbfa.sbfa import from_regex
-from repro.visualize import (
-    derivative_graph, graph_to_dot, graph_to_text, sbfa_to_text,
-)
+from repro.visualize import derivative_graph, graph_to_dot, graph_to_text
 
 
 def test_derivative_graph_structure(ascii_builder):
