@@ -85,6 +85,20 @@ class BooleanAlgebra(ABC):
         """``is_sat``/``is_valid`` decisions on this algebra."""
         return self._sat_count
 
+    # -- operation caches ----------------------------------------------------
+    #
+    # An algebra may memoize its operations; the engine-state lifecycle
+    # (:mod:`repro.solver.lifecycle`) accounts for those entries and
+    # drops them when it compacts, so they stay bounded in long-lived
+    # processes.  Predicates handed out before a clear stay valid.
+
+    def cache_entries(self):
+        """Number of entries :meth:`clear_caches` would drop."""
+        return 0
+
+    def clear_caches(self):
+        """Drop memoized operation results (never a predicate's meaning)."""
+
     # -- The two distinguished predicates ---------------------------------
 
     @property

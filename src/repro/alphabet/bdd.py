@@ -62,6 +62,16 @@ class BDDAlgebra(BooleanAlgebra):
         self._apply_cache = {}
         self._neg_cache = {}
 
+    def cache_entries(self):
+        return len(self._apply_cache) + len(self._neg_cache)
+
+    def clear_caches(self):
+        """Drop the apply and negation caches.  ``_nodes`` stays: it is
+        the representation (a predicate is canonical because ``_mk``
+        finds its node there), not a cache."""
+        self._apply_cache.clear()
+        self._neg_cache.clear()
+
     # -- node construction -------------------------------------------------
 
     def _mk(self, var, lo, hi):

@@ -6,6 +6,14 @@ Z3 (and dZ3) represent Unicode character predicates, supports the full
 Unicode range including the Basic Multilingual Plane the paper calls
 out, and is *extensional*: two predicates denote the same set iff they
 are equal.
+
+:class:`IntervalAlgebra` hands out *canonical* sets: a unique table
+keyed by ``ranges`` makes every constructor and operation return one
+object per set, and per-algebra caches answer repeated ``conj``,
+``disj``, ``neg`` and ``pick`` calls without recomputing the interval
+merge.  Equality stays structural, so a set from another algebra, a
+snapshot or a cleared table still compares (and hashes) equal to its
+canonical twin; identity is only a fast path.
 """
 
 from repro.alphabet.algebra import BooleanAlgebra
@@ -57,7 +65,9 @@ class CharSet:
         return CharSet(tuple(merged))
 
     def __eq__(self, other):
-        return isinstance(other, CharSet) and self.ranges == other.ranges
+        return self is other or (
+            isinstance(other, CharSet) and self.ranges == other.ranges
+        )
 
     def __hash__(self):
         return self._hash
@@ -104,6 +114,9 @@ class CharSet:
         return "CharSet[%s]" % ", ".join(parts)
 
 
+# The uncached set operations: the algebra's caches call these on a
+# miss, and the tests use them as the oracle for the cached results.
+
 def _union(a, b):
     return CharSet.normalize(a.ranges + b.ranges)
 
@@ -136,6 +149,16 @@ def _intersection(a, b):
     return CharSet(tuple(out))
 
 
+_PRINTABLE = CharSet(((0x20, 0x7E),))
+
+
+def _pick(a):
+    """Some member of nonempty ``a``, preferring printable ASCII so that
+    generated witnesses are readable."""
+    printable = _intersection(a, _PRINTABLE)
+    return chr(printable.min() if printable.ranges else a.min())
+
+
 class IntervalAlgebra(BooleanAlgebra):
     """The default character theory: canonical codepoint interval sets.
 
@@ -150,6 +173,35 @@ class IntervalAlgebra(BooleanAlgebra):
         self.max_code = max_code
         self._bot = CharSet(())
         self._top = CharSet(((0, max_code),))
+        self.clear_caches()
+
+    # -- canonical sets and their caches ------------------------------------
+
+    def _canonical(self, charset):
+        """The unique table's set equal to ``charset`` (entering it when
+        new)."""
+        return self._unique.setdefault(charset.ranges, charset)
+
+    def cache_entries(self):
+        # bot and top stay in the unique table through every clear
+        return (
+            len(self._unique) - 2 + len(self._conj_cache)
+            + len(self._disj_cache) + len(self._neg_cache)
+            + len(self._pick_cache)
+        )
+
+    def clear_caches(self):
+        """Drop every cached set and result except ``bot`` and ``top``.
+
+        Sets handed out before stay valid: equality is structural, they
+        merely stop being the canonical object for their ranges."""
+        self._unique = {
+            self._bot.ranges: self._bot, self._top.ranges: self._top,
+        }
+        self._conj_cache = {}
+        self._disj_cache = {}
+        self._neg_cache = {}
+        self._pick_cache = {}
 
     @property
     def bot(self):
@@ -159,13 +211,22 @@ class IntervalAlgebra(BooleanAlgebra):
     def top(self):
         return self._top
 
+    # The counters count *requested* operations, so a cache hit counts
+    # like the computation it saves.
+
     def conj(self, phi, psi):
         self._op_count += 1
         if phi is self._top:
             return psi
         if psi is self._top:
             return phi
-        return _intersection(phi, psi)
+        key = (phi, psi)
+        result = self._conj_cache.get(key)
+        if result is None:
+            result = self._conj_cache[key] = self._canonical(
+                _intersection(phi, psi)
+            )
+        return result
 
     def disj(self, phi, psi):
         self._op_count += 1
@@ -173,11 +234,20 @@ class IntervalAlgebra(BooleanAlgebra):
             return psi
         if psi is self._bot:
             return phi
-        return _union(phi, psi)
+        key = (phi, psi)
+        result = self._disj_cache.get(key)
+        if result is None:
+            result = self._disj_cache[key] = self._canonical(_union(phi, psi))
+        return result
 
     def neg(self, phi):
         self._op_count += 1
-        return _complement(phi, self.max_code)
+        result = self._neg_cache.get(phi)
+        if result is None:
+            result = self._neg_cache[phi] = self._canonical(
+                _complement(phi, self.max_code)
+            )
+        return result
 
     def is_sat(self, phi):
         self._sat_count += 1
@@ -200,17 +270,22 @@ class IntervalAlgebra(BooleanAlgebra):
         """Pick a member, preferring printable ASCII for readable models."""
         if not phi.ranges:
             raise AlgebraError("cannot pick from the empty predicate")
-        printable = _intersection(phi, CharSet(((0x20, 0x7E),)))
-        chosen = printable.min() if printable.ranges else phi.min()
-        return chr(chosen)
+        char = self._pick_cache.get(phi)
+        if char is None:
+            char = self._pick_cache[phi] = _pick(phi)
+        return char
 
-    def from_char(self, char):
+    def _in_domain_code(self, char):
         code = _as_codepoint(char)
         if code > self.max_code:
             raise AlgebraError(
                 "codepoint %#x outside domain (max %#x)" % (code, self.max_code)
             )
-        return CharSet(((code, code),))
+        return code
+
+    def from_char(self, char):
+        code = self._in_domain_code(char)
+        return self._canonical(CharSet(((code, code),)))
 
     def from_ranges(self, ranges):
         pairs = []
@@ -220,13 +295,14 @@ class IntervalAlgebra(BooleanAlgebra):
                 hi = self.max_code
             if lo <= hi:
                 pairs.append((lo, hi))
-        return CharSet.normalize(pairs)
+        return self._canonical(CharSet.normalize(pairs))
 
     def from_chars(self, chars):
-        """Predicate for a finite set of characters."""
-        return CharSet.normalize(
-            [(c, c) for c in map(_as_codepoint, chars)]
-        )
+        """Predicate for a finite set of characters; every one must lie
+        in the domain, as for :meth:`from_char`."""
+        return self._canonical(CharSet.normalize(
+            [(c, c) for c in map(self._in_domain_code, chars)]
+        ))
 
     def count(self, phi):
         return len(phi)

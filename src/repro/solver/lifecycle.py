@@ -18,7 +18,9 @@ that state a managed resource:
   subterm children, memoized derivative-tree leaves, graph successors
   and registered DFA-row targets; every table is then rebuilt keeping
   only live entries.  Uids are never reused, so node identity stays
-  canonical (see DESIGN.md for the soundness argument).
+  canonical (see DESIGN.md for the soundness argument).  The character
+  algebra's operation caches (``algebra_memo``) are dropped whole:
+  predicates compare structurally, so nothing live depends on them.
 
 * **Policy** — :class:`CompactionPolicy` trips compaction when the
   total entry count crosses a watermark; :meth:`EngineState.end_query`
@@ -169,6 +171,8 @@ class EngineState:
         if self._dfas:
             sizes["dfa_rows"] = sum(len(d._rows) for d in self._dfas)
             approx += sizes["dfa_rows"] * _BYTES_PER_ROW
+        sizes["algebra_memo"] = self.builder.algebra.cache_entries()
+        approx += sizes["algebra_memo"] * _BYTES_PER_MEMO
         sizes["entries_total"] = sum(
             v for k, v in sizes.items() if k != "graph_edges"
         )
@@ -234,6 +238,10 @@ class EngineState:
         if self._dfas:
             report["dfa_rows"] = rows
             retired += rows
+        algebra = self.builder.algebra
+        report["algebra_memo"] = algebra.cache_entries()
+        algebra.clear_caches()
+        retired += report["algebra_memo"]
         report["retired"] = retired
         self._c_compactions.inc()
         self._c_retired.inc(retired)

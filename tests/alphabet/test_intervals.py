@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.alphabet.intervals import BMP_MAX, CharSet, IntervalAlgebra
+from repro.alphabet.intervals import (
+    BMP_MAX, CharSet, IntervalAlgebra, _complement, _intersection, _pick,
+    _union,
+)
 from repro.errors import AlgebraError
 
 MAX = 255
@@ -152,6 +155,112 @@ class TestPickAndMembership:
         alg = IntervalAlgebra(0x7F)
         phi = alg.from_ranges([(0x70, 0x200)])
         assert to_set(phi) == set(range(0x70, 0x80))
+
+    def test_from_chars_rejects_out_of_domain(self):
+        # it used to keep chr(300) in a 0x7F domain: neg(neg(p)) lost it,
+        # p | ~p was not valid, and pick answered outside the domain
+        alg = IntervalAlgebra(0x7F)
+        for chars in (["a", chr(300)], [chr(300)]):
+            with pytest.raises(AlgebraError):
+                alg.from_chars(chars)
+        p = alg.from_chars(["a", chr(0x7F)])
+        assert alg.neg(alg.neg(p)) == p
+        assert alg.is_valid(alg.disj(p, alg.neg(p)))
+        assert alg.pick(alg.from_chars([chr(0x7F)])) == chr(0x7F)
+
+
+SMALL = 40
+
+small_range_sets = st.lists(
+    st.tuples(st.integers(0, SMALL), st.integers(0, SMALL)).map(
+        lambda t: (min(t), max(t))
+    ),
+    max_size=4,
+)
+
+
+class TestCanonicalCaches:
+    """The unique table and operation caches change no result: every
+    cached operation equals the uncached module function (the oracle)
+    and Python set semantics, equal sets are one object, and clearing
+    the caches changes nothing but identity."""
+
+    @given(st.lists(small_range_sets, min_size=2, max_size=5))
+    def test_cached_operations_match_oracle(self, range_lists):
+        alg = IntervalAlgebra(SMALL)
+        domain = set(range(SMALL + 1))
+        preds = [alg.from_ranges(pairs) for pairs in range_lists]
+
+        def check_all():
+            results = []
+            for a in preds:
+                neg = alg.neg(a)
+                assert neg == _complement(a, SMALL)
+                assert to_set(neg) == domain - to_set(a)
+                assert alg.neg(a) is neg
+                if a:
+                    assert alg.pick(a) == _pick(a)
+                    assert ord(alg.pick(a)) in to_set(a)
+                for b in preds:
+                    conj = alg.conj(a, b)
+                    disj = alg.disj(a, b)
+                    diff = alg.diff(a, b)
+                    assert conj == _intersection(a, b)
+                    assert disj == _union(a, b)
+                    assert diff == _intersection(a, _complement(b, SMALL))
+                    assert to_set(conj) == to_set(a) & to_set(b)
+                    assert to_set(disj) == to_set(a) | to_set(b)
+                    assert to_set(diff) == to_set(a) - to_set(b)
+                    assert alg.conj(a, b) is conj and alg.disj(a, b) is disj
+                    assert alg.conj(b, a) is conj and alg.disj(b, a) is disj
+                    results.append((conj, disj, diff))
+            return results
+
+        before = check_all()
+        alg.clear_caches()
+        assert alg.cache_entries() == 0
+        assert check_all() == before
+
+    @given(small_range_sets, small_range_sets)
+    def test_equal_sets_are_one_object(self, pairs, other_pairs):
+        alg = IntervalAlgebra(SMALL)
+        a = alg.from_ranges(pairs)
+        b = alg.from_ranges(other_pairs)
+        assert alg.from_ranges(list(reversed(pairs))) is a
+        assert alg.from_chars([chr(c) for c in a]) is a
+        assert alg.neg(alg.neg(a)) is a
+        assert alg.conj(a, alg.top) is a and alg.disj(a, alg.bot) is a
+        for result in (alg.conj(a, b), alg.disj(a, b), alg.diff(a, b)):
+            assert alg.from_ranges(result.ranges) is result
+        if not a:
+            assert a is alg.bot
+        if to_set(a) == set(range(SMALL + 1)):
+            assert a is alg.top
+
+    def test_counters_count_requests_not_misses(self):
+        alg = IntervalAlgebra(SMALL)
+        a = alg.from_ranges([(1, 5)])
+        b = alg.from_ranges([(3, 9)])
+        for rounds in (1, 2):  # the second round is all cache hits
+            alg.conj(a, b)
+            alg.disj(a, b)
+            alg.neg(a)
+            alg.is_sat(a)
+            alg.is_valid(b)
+            assert alg.op_count == 3 * rounds
+            assert alg.sat_check_count == 2 * rounds
+        assert alg.cache_entries() > 0
+
+    def test_foreign_and_stale_sets_stay_equal(self):
+        alg = IntervalAlgebra(SMALL)
+        a = alg.from_ranges([(1, 5)])
+        alg.clear_caches()
+        fresh = alg.from_ranges([(1, 5)])
+        assert fresh == a and hash(fresh) == hash(a) and fresh is not a
+        assert alg.neg(a) is alg.neg(fresh)
+        foreign = CharSet(((1, 5),))
+        assert alg.conj(foreign, alg.from_ranges([(4, 9)])).ranges == ((4, 5),)
+        assert alg.bot is alg.from_ranges([]) and alg.top is alg.neg(alg.bot)
 
 
 def test_bmp_default_domain():

@@ -7,8 +7,11 @@ never semantic facts about live regexes — and retired facts are
 recomputed on demand.
 """
 
+import itertools
+
 import pytest
 
+from repro.alphabet.bdd import BDDAlgebra
 from repro.alphabet.intervals import IntervalAlgebra
 from repro.matcher.dfa_cache import LazyDfa
 from repro.matcher.matcher import RegexMatcher
@@ -239,6 +242,78 @@ class TestPolicy:
         )
         solver.is_satisfiable(parse(solver.builder, "a*b&~(ab)"))
         assert solver.obs.metrics.snapshot()["cache.compactions"] >= 1
+
+
+class TestAlgebraMemo:
+    """The character algebra's operation caches are a managed cache
+    like the rest: accounted, dropped by compaction, bounded by the
+    policy, and dropping them changes no answer."""
+
+    def test_cache_sizes_report_algebra_memo(self, builder):
+        solver = RegexSolver(builder)
+        solver.is_satisfiable(parse(builder, "~(a*)&[a-c]{2,5}"))
+        sizes = solver.state.cache_sizes()
+        assert sizes["algebra_memo"] == builder.algebra.cache_entries() > 0
+        assert sizes["entries_total"] == sum(sizes[key] for key in (
+            "regex_nodes", "deriv_trees", "deriv_memo", "meld_memo",
+            "graph_vertices", "algebra_memo",
+        ))
+
+    @pytest.mark.parametrize("drop", ["compact", "reset"])
+    def test_compaction_empties_algebra_memo(self, builder, drop):
+        solver = RegexSolver(builder)
+        for pattern in PATTERNS:
+            solver.is_satisfiable(parse(builder, pattern))
+        keep = parse(builder, PATTERNS[0])
+        entries = builder.algebra.cache_entries()
+        assert entries > 0
+        if drop == "compact":
+            report = solver.state.compact(keep=(keep,))
+        else:
+            report = solver.state.reset()
+        assert report["algebra_memo"] == entries
+        assert solver.state.cache_sizes()["algebra_memo"] == 0
+
+    def test_policy_bounds_algebra_memo_with_parity(self):
+        letters = "acegikmoqsuwy"
+        templates = (
+            "[{0}-{1}]+&~(.*{0}.*)", "[{0}-{1}]{{2}}&[{1}-z]{{2}}",
+            "({0}|[^{0}-{1}])*{1}", "~([{0}-{1}]*)&[a-{1}]{{1,3}}",
+        )
+        patterns = [
+            template.format(lo, hi)
+            for lo, hi in itertools.combinations(letters, 2)
+            for template in templates
+        ]
+        plain = fresh_solver()
+        policy = CompactionPolicy(max_entries=300, min_retained=0)
+        bounded = fresh_solver(compaction=policy)
+        peak = 0
+        for pattern in patterns:
+            expected = plain.is_satisfiable(parse(plain.builder, pattern))
+            actual = bounded.is_satisfiable(parse(bounded.builder, pattern))
+            assert (actual.status, actual.witness) == (
+                expected.status, expected.witness), pattern
+            peak = max(peak, bounded.state.cache_sizes()["algebra_memo"])
+        assert peak <= policy.max_entries
+        assert plain.builder.algebra.cache_entries() > 2 * policy.max_entries
+
+    def test_bdd_clear_caches_keeps_nodes(self):
+        builder = RegexBuilder(BDDAlgebra(8))
+        algebra = builder.algebra
+        regex = parse(builder, "~(a*)&[a-c]{2,5}")
+        expected = RegexSolver(builder).is_satisfiable(regex)
+        nodes = dict(algebra._nodes)
+        assert algebra.cache_entries() > 0
+        algebra.clear_caches()
+        assert algebra.cache_entries() == 0
+        assert algebra._nodes == nodes
+        # a fresh engine recomputes every derivative through the cleared
+        # caches and reaches the same canonical nodes and answer
+        actual = RegexSolver(builder).is_satisfiable(regex)
+        assert (actual.status, actual.witness) == (
+            expected.status, expected.witness)
+        assert algebra._nodes == nodes
 
 
 class TestPinAndHold:
