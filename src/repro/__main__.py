@@ -62,6 +62,7 @@ from repro.obs import Observability, Tracer, render_hotspots, write_collapsed
 from repro.regex import RegexBuilder, parse, to_pattern
 from repro.smtlib.interp import run_file
 from repro.solver import Budget, RegexSolver, SmtSolver
+from repro.solver.smt import solve_and_replay
 from repro.visualize import graph_to_dot, graph_to_text
 
 
@@ -417,7 +418,8 @@ def _stats_lines(result, obs):
 
 
 def _task_line(task):
-    """One output line per batch task, in submission order."""
+    """One output line per task result (``batch``, ``solve --jobs``,
+    ``submit``), in submission order."""
     line = "%s: %s" % (task.name, task.status)
     if task.model:
         line += "  " + " ".join(
@@ -472,10 +474,14 @@ def _run(args):
         store = _open_store(args)
         solver = RegexSolver(builder, obs=obs, explain=args.explain,
                              store=store)
-        result = solver.is_satisfiable(parse(builder, args.pattern), budget())
+        result = solve_and_replay(
+            solver, parse(builder, args.pattern), budget()
+        )
         out.append(result.status)
         if result.is_sat:
             out.append("witness: %r" % result.witness)
+        elif result.error:
+            out.append("reason: %(type)s: %(message)s" % result.error)
         status = 0 if not result.is_unknown else 2
     elif args.command == "contains":
         solver = RegexSolver(builder, obs=obs, explain=args.explain)
@@ -529,7 +535,7 @@ def _run(args):
             report = solve_batch(
                 jobs_from_files(args.files), workers=args.jobs,
                 fuel=args.fuel, seconds=args.seconds,
-                max_char=127 if args.ascii else None,
+                max_char=127 if args.ascii else None, explain=args.explain,
                 store_path=args.store, store_save=args.store,
             )
             for task in report.results:
@@ -782,6 +788,7 @@ def _run(args):
 
         from repro.serve.client import DaemonClient, DaemonError
         from repro.serve.jobs import Job
+        from repro.serve.report import TaskResult
 
         if bool(args.socket) == bool(args.tcp):
             print("submit: need exactly one of --socket PATH or "
@@ -805,27 +812,21 @@ def _run(args):
                     outcomes = client.solve(
                         jobs, timeout=args.seconds * max(len(jobs), 1) + 30.0,
                     )
-                    for job in jobs:
+                    for i, job in enumerate(jobs):
                         reply = outcomes.get(job.name) or {}
                         kind = reply.get("type")
                         if kind == "result":
-                            line = "%s: %s" % (job.name, reply.get("status"))
-                            if reply.get("model"):
-                                line += "  " + " ".join(
-                                    "%s=%r" % kv for kv in
-                                    sorted(reply["model"].items())
-                                )
-                            elif reply.get("witness") is not None:
-                                line += "  witness=%r" % reply["witness"]
-                            if reply.get("error"):
-                                line += "  [%s: %s]" % (
-                                    reply["error"].get("type"),
-                                    reply["error"].get("message"),
-                                )
+                            task = TaskResult(
+                                i, job.name, reply.get("status"),
+                                witness=reply.get("witness"),
+                                model=reply.get("model"),
+                                error=reply.get("error"),
+                            )
+                            out.append(_task_line(task))
+                            if task.error:
                                 status = 1
-                            elif reply.get("status") == "unknown":
+                            elif task.status == "unknown":
                                 status = status or 2
-                            out.append(line)
                         elif kind == "overloaded":
                             out.append("%s: REJECTED (%s; retry after %ss)"
                                        % (job.name, reply.get("reason"),

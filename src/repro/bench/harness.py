@@ -11,7 +11,7 @@ import statistics
 import time
 
 from repro.solver.formula import is_boolean_combination
-from repro.solver.result import Budget
+from repro.solver.result import Budget, error_info
 from repro.solver.smt import SmtSolver
 
 
@@ -88,8 +88,6 @@ def record_outcome(result, solver, expected, formula=None):
     Returns ``(status, outcome, stats)`` with the paper's methodology:
     unknowns are "timeout", wrong answers are "timeout"-equivalent, and
     sat models are validated against the formula when available.
-    Shared between the serial :func:`run_problem` path and the batch
-    worker's ``bench`` task executor.
     """
     status = result.status
     stats = _capture_stats(result, solver)
@@ -108,25 +106,35 @@ def record_outcome(result, solver, expected, formula=None):
     return status, outcome, stats
 
 
-def run_problem(engine, builder, problem, fuel=200000, seconds=2.0):
-    """Run one problem under a fresh solver with a fixed budget."""
+def solve_cell(engine, builder, formula, expected, fuel, seconds):
+    """One (engine, problem) cell, as :func:`run_problem` and the
+    worker's ``bench`` task both run it: a fresh solver, one budget,
+    the verdict classified by :func:`record_outcome`.  Returns
+    ``(status, seconds, outcome, stats)`` in :class:`Record` order;
+    timeouts, wrong answers and crashes are charged the full budget,
+    other cells their solve time clamped to it."""
     solver = engine.fresh_solver(builder)
     budget = Budget(fuel=fuel, seconds=seconds)
     started = time.perf_counter()
     try:
-        result = solver.solve(problem.formula, budget=budget)
-    except Exception:  # a crash counts as a timeout, like the paper
-        return Record(problem, engine.name, "error", seconds, "timeout")
+        result = solver.solve(formula, budget=budget)
+    except Exception as exc:  # a crash counts as a timeout, like the paper
+        return "error", seconds, "timeout", {"error": error_info(exc)}
     elapsed = time.perf_counter() - started
     status, outcome, stats = record_outcome(
-        result, solver, problem.expected, formula=problem.formula
+        result, solver, expected, formula=formula
     )
-    if outcome in ("timeout", "wrong"):
-        # wrong answers are treated as timeouts in the comparison
-        return Record(problem, engine.name, status, seconds, outcome, stats)
-    return Record(
-        problem, engine.name, status, min(elapsed, seconds), outcome, stats
-    )
+    if seconds is not None and (
+            outcome in ("timeout", "wrong") or elapsed > seconds):
+        elapsed = seconds
+    return status, elapsed, outcome, stats
+
+
+def run_problem(engine, builder, problem, fuel=200000, seconds=2.0):
+    """Run one problem under a fresh solver with a fixed budget."""
+    return Record(problem, engine.name, *solve_cell(
+        engine, builder, problem.formula, problem.expected, fuel, seconds,
+    ))
 
 
 def run_matrix(engines, problems, builder, fuel=200000, seconds=2.0,
@@ -163,50 +171,36 @@ def run_matrix(engines, problems, builder, fuel=200000, seconds=2.0,
 def run_matrix_parallel(engines, problems, builder, fuel=200000, seconds=2.0,
                         progress=None, jobs=2):
     """The batched evaluation matrix: one ``bench`` job per (engine,
-    problem) cell, solved on a :class:`repro.serve.WorkerPool`.
+    problem) cell, solved by :func:`solve_cell` on a
+    :class:`repro.serve.WorkerPool`; no cell is solved in this process.
 
     Problems travel as SMT-LIB text and are re-parsed against each
-    worker's own builder; pool-level failures (a crashed or reaped
+    worker's own builder.  The re theory has no zero-width assertions,
+    so a lookaround problem, which is one ``str.in_re``, travels as its
+    printed pattern instead.  Pool-level failures (a crashed or reaped
     worker) surface as error Records with the full budget charged,
     mirroring the serial path's crash-counts-as-timeout rule.
-
-    Problems with no SMT-LIB wire form — the re theory has no
-    zero-width assertions, so lookaround benchmarks cannot be shipped
-    to workers — are solved in process on the serial path and merged
-    into the same record list.
     """
     from repro.bench.engines import engine_by_name
     from repro.errors import SmtLibError
+    from repro.regex import to_pattern
     from repro.serve import Job, solve_batch
     from repro.smtlib.writer import script_text
 
     for engine in engines:
         engine_by_name(engine.name)  # fail fast on unregistered engines
 
-    texts = []
+    wires = []
     for p in problems:
         try:
-            texts.append(
-                script_text(p.formula, builder.algebra, status=p.expected)
-            )
+            wire = {"smt2": script_text(p.formula, builder.algebra,
+                                        status=p.expected)}
         except SmtLibError:
-            texts.append(None)
-    records = []
-    batch = []
-    cells = []
-    for engine in engines:
-        for problem, text in zip(problems, texts):
-            if text is None:
-                records.append(run_problem(
-                    engine, builder, problem, fuel=fuel, seconds=seconds,
-                ))
-                continue
-            batch.append(Job(
-                "%s/%s" % (engine.name, problem.name), "bench",
-                {"engine": engine.name, "smt2": text},
-                expected=problem.expected,
-            ))
-            cells.append((engine.name, problem))
+            wire = {"pattern": to_pattern(p.formula.regex, builder.algebra)}
+        wires.append(wire)
+    cells = [(e.name, p, w) for e in engines for p, w in zip(problems, wires)]
+    batch = [Job("%s/%s" % (name, p.name), "bench", dict(w, engine=name),
+                 expected=p.expected) for name, p, w in cells]
 
     def pool_progress(done, _total):
         if progress is not None and done % 50 == 0:
@@ -216,19 +210,18 @@ def run_matrix_parallel(engines, problems, builder, fuel=200000, seconds=2.0,
         batch, workers=jobs, fuel=fuel, seconds=seconds,
         progress=pool_progress,
     )
-    for result, (engine_name, problem) in zip(report.results, cells):
+    records = []
+    for result, (name, problem, _wire) in zip(report.results, cells):
         if result.outcome is not None:
             records.append(Record(
-                problem, engine_name, result.status,
-                result.elapsed if result.outcome not in ("timeout", "wrong")
-                else seconds,
+                problem, name, result.status, result.elapsed,
                 result.outcome, result.stats,
             ))
         else:
             # pool-synthesized verdict (crashed/reaped worker): charge
             # the full budget, keep the structured error in the stats
             records.append(Record(
-                problem, engine_name, "error", seconds, "timeout",
+                problem, name, "error", seconds, "timeout",
                 {"error": result.error} if result.error else {},
             ))
     return records

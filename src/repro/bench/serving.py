@@ -32,7 +32,7 @@ import statistics
 import threading
 import time
 
-from repro.bench.warm import DISTINCT_PATTERNS, zipf_workload
+from repro.bench.warm import DISTINCT_PATTERNS, _solve_once, zipf_workload
 from repro.serve.client import DaemonClient
 from repro.serve.daemon import SolverDaemon
 
@@ -42,18 +42,9 @@ DEFAULT_LENGTH = 48
 
 def _serial_oracle(patterns, fuel, seconds):
     """Status/witness per distinct pattern on a fresh serial stack."""
-    from repro.alphabet import IntervalAlgebra
-    from repro.regex import RegexBuilder, parse
-    from repro.solver.engine import RegexSolver
-    from repro.solver.result import Budget
-
     oracle = {}
     for pattern in patterns:
-        builder = RegexBuilder(IntervalAlgebra(127))
-        solver = RegexSolver(builder)
-        result = solver.is_satisfiable(
-            parse(builder, pattern), Budget(fuel=fuel, seconds=seconds)
-        )
+        _elapsed, result = _solve_once(pattern, None, fuel, seconds)
         oracle[pattern] = (result.status, result.witness)
     return oracle
 

@@ -267,12 +267,13 @@ def collect(root, quick=False, stride=None, fuel=None, seconds=None,
     ``quick`` selects the CI-sized tier (per-suite subsampling and a
     smaller budget); explicit ``stride``/``fuel``/``seconds`` override
     either tier.  ``jobs > 1`` fans the matrix over that many worker
-    processes (see :func:`repro.bench.harness.run_matrix_parallel`);
-    verdicts stay identical because budgets are fuel-deterministic, but
-    wall time is no longer comparable across differing job counts — the
-    snapshot records both the batch wall time and the aggregate
-    per-problem CPU time under ``"timing"``, plus ``config["jobs"]``
-    so the regression gate can insist on like-for-like comparisons.
+    processes, every cell (lookaround ones included) in a worker (see
+    :func:`repro.bench.harness.run_matrix_parallel`); verdicts stay
+    identical because budgets are fuel-deterministic, but wall time is
+    no longer comparable across differing job counts — the snapshot
+    records both the batch wall time and the aggregate per-problem CPU
+    time under ``"timing"``, plus ``config["jobs"]`` so the regression
+    gate can insist on like-for-like comparisons.
 
     ``with_store`` additionally runs the zipfian cold-vs-warm store
     suite (:func:`repro.bench.warm.run_warm_suite`) at the tier's

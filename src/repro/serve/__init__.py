@@ -15,6 +15,16 @@ retry-on-crash, and order-stable result aggregation::
     for r in report.results:       # one per job, in submission order
         print(r.name, r.status, r.error)
     print(report.summary_line())   # wall vs aggregate CPU time
+
+There is one way to run a job.  :class:`WorkerPool` is the one pool
+loop: ``solve_batch`` is ``WorkerPool(workers=N, **options).run(jobs)``
+(the options are documented on the class), the bench matrix and the
+CLI's ``batch`` / ``solve --jobs`` run batches on it, and the
+:class:`SolverDaemon` drives its streaming core.  Its workers run one
+executor per job kind, shared with the in-process paths: ``pattern``
+jobs answer through :func:`repro.solver.smt.solve_and_replay`, as
+``repro check`` does, and ``bench`` jobs through
+:func:`repro.bench.harness.solve_cell`, as the serial harness does.
 """
 
 from repro.serve.admission import Admission, AdmissionController, TokenBucket

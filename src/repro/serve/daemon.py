@@ -61,7 +61,7 @@ import time
 from collections import deque
 
 from repro.serve.admission import AdmissionController
-from repro.serve.pool import _POLL_SLEEP, WorkerPool
+from repro.serve.pool import WorkerPool
 
 #: Longest accepted protocol line (bytes).  A line past this is a
 #: protocol error, not a memory commitment.
@@ -418,15 +418,19 @@ class SolverDaemon:
     # -- the pool thread ----------------------------------------------------
 
     def _pool_loop(self):
-        """The only thread that touches the pool."""
+        """The only thread that touches the pool; :meth:`WorkerPool.pump`
+        does the idle wait.  The stop flag is read before the inbox is
+        drained, so every job accepted ahead of a shutdown is in the
+        backlog the drain check sees."""
         pool = self.pool
         try:
             while True:
-                progressed = self._drain_inbox()
-                progressed |= pool.pump()
-                progressed |= self._deliver(pool.take_completed())
+                pool.pump()
+                self._deliver(pool.take_completed())
+                stopping = self._stop.is_set()
+                self._drain_inbox()
                 self._g_depth.set(pool.backlog)
-                if self._stop.is_set():
+                if stopping:
                     if pool.backlog == 0 or pool.broken:
                         break
                     if self._drain_deadline is None:
@@ -435,8 +439,6 @@ class SolverDaemon:
                         )
                     elif time.monotonic() > self._drain_deadline:
                         break
-                if not progressed:
-                    time.sleep(_POLL_SLEEP)
         finally:
             # anything still in flight at this point is reported, not
             # silently lost (stop() already waited out the grace)
@@ -448,19 +450,16 @@ class SolverDaemon:
                 })
             self._tickets.clear()
             try:
-                pool.stop()
+                pool.stop()  # saves the warm store
             except Exception:
                 pool.kill()
-            pool._save_store()
 
     def _drain_inbox(self):
-        progressed = False
         while True:
             try:
                 entry = self._inbox.get_nowait()
             except queue_mod.Empty:
-                return progressed
-            progressed = True
+                return
             index = next(self._indices)
             self._tickets[index] = entry
             self.pool.submit(
@@ -473,9 +472,7 @@ class SolverDaemon:
             )
 
     def _deliver(self, results):
-        progressed = False
         for result in results:
-            progressed = True
             ticket = self._tickets.pop(result.index, None)
             if ticket is None:
                 continue
@@ -498,7 +495,6 @@ class SolverDaemon:
             }
             self._send_result(ticket, payload, status=result.status,
                               latency=latency)
-        return progressed
 
     def _send_result(self, ticket, payload, status=None, latency=None):
         with self._clients_lock:

@@ -15,9 +15,11 @@ Job kinds:
 * ``pattern`` — payload is an extended-regex pattern; satisfiability
   checked by the worker's persistent :class:`~repro.solver.engine.
   RegexSolver`.
-* ``bench`` — payload is ``{"engine": name, "smt2": text}``; solved by
-  a *fresh* solver of the named benchmark engine, mirroring
-  :func:`repro.bench.harness.run_problem` semantics.
+* ``bench`` — payload is ``{"engine": name, "smt2": text}``, or
+  ``{"engine": name, "pattern": text}`` for a lookaround problem (one
+  ``str.in_re``, no SMT-LIB form); solved by a *fresh* solver of the
+  named benchmark engine through :func:`repro.bench.harness.solve_cell`,
+  the serial harness's own cell function.
 * ``crash`` — fault-injection hook for the crash-isolation tests and
   the CI smoke: payload ``"kill"`` hard-kills the worker process,
   ``"hang"`` blocks it until it is reaped.

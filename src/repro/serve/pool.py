@@ -19,18 +19,20 @@ Design notes
   ``reap_grace``) is killed and its task recorded as a structured
   ``unknown``; a worker that died on its own is recorded as ``error``
   and the task retried on a fresh worker up to ``retries`` times.
-* **Two lifetimes.**  :meth:`WorkerPool.run` is the one-shot batch
-  driver; underneath it sits a streaming core — :meth:`start`,
-  :meth:`submit`, :meth:`pump`, :meth:`take_completed`, :meth:`stop` —
-  that the solver daemon (:mod:`repro.serve.daemon`) drives directly,
-  feeding an ongoing job stream into a pool whose workers keep their
-  warm store and caches across submissions.
+* **Two lifetimes, one loop.**  :meth:`WorkerPool.run` is the
+  one-shot batch driver; underneath it sits a streaming core —
+  :meth:`start`, :meth:`submit`, :meth:`pump`, :meth:`take_completed`,
+  :meth:`stop` — that the solver daemon (:mod:`repro.serve.daemon`)
+  drives directly, feeding an ongoing job stream into a pool whose
+  workers keep their warm store and caches across submissions.  The
+  pool owns the only idle wait (:meth:`pump` sleeps after a sweep that
+  made no progress), so neither driver polls on its own.
 * **Signal safety.**  ``run`` installs a SIGTERM handler for its
-  duration and converts the signal (or a ``KeyboardInterrupt``) into an
-  emergency :meth:`kill`: workers get SIGTERM, stragglers SIGKILL after
-  a short grace, and the partial store snapshot is *not* saved — a
-  half-run batch must never leak orphan processes or clobber the store
-  with a partial capture.
+  duration and converts the signal (or a ``KeyboardInterrupt``, or any
+  other exception) into an emergency :meth:`kill`: workers get SIGTERM,
+  stragglers SIGKILL after a short grace.  Only a graceful
+  :meth:`stop` saves the store, so a half-run batch never leaks orphan
+  processes or clobbers the store with a partial capture.
 """
 
 import itertools
@@ -39,7 +41,7 @@ import signal
 import threading
 import time
 from collections import deque
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 
 from repro.serve.report import BatchReport, TaskResult
 from repro.serve.worker import worker_main
@@ -50,6 +52,9 @@ DEFAULT_REAP_GRACE = 10.0
 
 #: Idle sleep between sweeps when no worker produced a message.
 _POLL_SLEEP = 0.02
+
+#: Workers fork where the platform supports it, else use its default.
+_START_METHOD = "fork" if "fork" in get_all_start_methods() else None
 
 #: Abort threshold for workers that die before taking any task (e.g.
 #: an import failure on spawn) — prevents an infinite respawn loop.
@@ -112,7 +117,7 @@ class _Worker:
 
 
 class WorkerPool:
-    """Fans :class:`~repro.serve.jobs.Job` streams across worker
+    """Fans :class:`~repro.serve.jobs.Job` streams across ``workers``
     processes.
 
     :meth:`run` is the batch entry point (returns a
@@ -120,12 +125,46 @@ class WorkerPool:
     and then interleaves :meth:`submit` / :meth:`pump` /
     :meth:`take_completed` forever, so workers — and their warm stores,
     derivative memos and lazy-DFA rows — persist across submissions
-    from many clients."""
+    from many clients.  No option changes a verdict.
+
+    ``fuel`` / ``seconds`` are every task's budget (``max_char`` caps
+    the character domain); a crashed task is retried ``retries`` times
+    and a task past ``seconds`` plus ``reap_grace`` is reaped.
+    ``progress(done, None)`` is called as results arrive.
+
+    ``max_tasks`` / ``max_rss_mb`` / ``max_cache_entries`` recycle
+    workers at the corresponding watermark (counted in ``report.
+    recycled``); ``compact_entries`` arms in-worker cache compaction.
+    A recycled worker merely restarts with cold caches.
+
+    ``flight_dir`` arms the flight recorder: per-process event/span
+    streams, worker heartbeats (``heartbeat_s`` between beats) and
+    slow-query artifacts for tasks past ``slow_s`` seconds or
+    ``slow_explored`` explored states land under that directory, plus
+    a merged ``timeline.json`` at batch end (see
+    :mod:`repro.obs.flight`).  The recorder keeps one task-level span
+    per job; ``trace_solver`` additionally streams the solver's
+    internal spans into the flight (markedly slower on derivative-heavy
+    queries — a debugging mode, not a default).
+
+    ``explain`` turns on verdict provenance in every worker: each
+    concrete pattern/smt2 verdict carries a certificate that the
+    worker re-checks with the independent checker before reporting,
+    and each task result gains an ``explanation`` summary (``report.
+    certified`` counts the checked ones).
+
+    ``store_path`` gives every worker (including replacements spawned
+    after recycling — a warm restart) a shared read-only warm-store
+    snapshot to load on spawn; ``store_save`` additionally captures the
+    fragments workers learn and merges them into that file on a
+    graceful :meth:`stop`.  Either one also arms affinity routing:
+    repeat payloads prefer the worker that already compiled them.  A
+    warm hit replays the exact rows a cold solve would rebuild (see
+    :mod:`repro.solver.store`)."""
 
     def __init__(self, workers=2, fuel=None, seconds=None, max_char=None,
-                 retries=1, reap_grace=DEFAULT_REAP_GRACE,
-                 start_method=None, progress=None, max_tasks=None,
-                 max_rss_mb=None, max_cache_entries=None,
+                 retries=1, reap_grace=DEFAULT_REAP_GRACE, progress=None,
+                 max_tasks=None, max_rss_mb=None, max_cache_entries=None,
                  compact_entries=None, flight_dir=None, slow_s=None,
                  slow_explored=None, heartbeat_s=None, trace_solver=False,
                  explain=False, store_path=None, store_save=None):
@@ -167,12 +206,7 @@ class WorkerPool:
             "store_path": str(store_path) if store_path else None,
             "store_capture": bool(store_save),
         }
-        if start_method is None:
-            import multiprocessing
-
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else None
-        self._ctx = get_context(start_method)
+        self._ctx = get_context(_START_METHOD)
         self._ids = itertools.count()
         # streaming-core state: live between start() and stop()/kill()
         self._fleet = []
@@ -279,21 +313,20 @@ class WorkerPool:
         return [w.proc.pid for w in self._fleet]
 
     def pump(self):
-        """One scheduling sweep: dispatch idle workers, drain result
-        queues, and — only on an otherwise idle sweep — run the health
-        check (crash/reap detection).  Returns True when any dispatch
-        or message made progress; the caller sleeps briefly on False.
+        """One scheduling sweep: dispatch idle workers and drain result
+        queues.  A sweep where no message arrived waits out the poll
+        interval (the pool's only idle wait, so callers loop on
+        ``pump()`` without sleeping) and then runs the health check
+        (crash/reap detection).  Returns True when a message arrived.
         """
         state = self._state
-        progressed = False
         for worker in self._fleet:
             if worker.task is None and not worker.retiring and self.queued:
                 task = self._next_task(worker)
                 worker.task = task
                 worker.deadline = self._task_deadline()
                 worker.task_q.put(task)
-            progressed |= self._pump(worker, state)
-        if progressed:
+        if self._sweep():
             return True
         new_fleet = []
         broken = False
@@ -333,10 +366,12 @@ class WorkerPool:
 
     def stop(self):
         """Graceful shutdown: sentinel every live worker, collect their
-        final stats/metrics snapshots (bounded wait), reap the fleet.
+        final stats/metrics snapshots (bounded wait), reap the fleet,
+        and merge the fragments they learned into ``store_save``.
         Returns the merged worker metrics list."""
-        worker_metrics = self._collect_final_stats(self._fleet, self._state)
+        worker_metrics = self._collect_final_stats()
         self._fleet = []
+        self._save_store()
         if self._flight is not None:
             self._flight.finish(results=len(self._state["results"]))
             self._flight = None
@@ -346,7 +381,7 @@ class WorkerPool:
     def kill(self, grace=KILL_GRACE):
         """Emergency shutdown for the signal path: SIGTERM the fleet,
         SIGKILL stragglers after ``grace`` seconds, skip the stats
-        barrier entirely.  Never raises."""
+        barrier and the store save entirely.  Never raises."""
         fleet, self._fleet = self._fleet, []
         for worker in fleet:
             try:
@@ -380,9 +415,10 @@ class WorkerPool:
         An empty list returns an empty report without spawning workers;
         duplicate job names raise ``ValueError`` up front (report rows,
         JSONL output and result routing are keyed by name — silently
-        clobbering one of the duplicates helps nobody).  SIGTERM or
-        ``KeyboardInterrupt`` mid-batch triggers :meth:`kill` — no
-        orphan workers, no partial store save — and re-raises.
+        clobbering one of the duplicates helps nobody).  Any exception
+        mid-batch — SIGTERM and ``KeyboardInterrupt`` included —
+        triggers :meth:`kill` (no orphan workers, no partial store
+        save) and re-raises.
         """
         jobs = list(jobs)
         seen, duplicates = set(), set()
@@ -408,21 +444,14 @@ class WorkerPool:
                 previous_term = signal.signal(signal.SIGTERM, _on_term)
             except (ValueError, OSError):  # pragma: no cover - exotic host
                 previous_term = None
-        interrupted = False
         try:
             self.start(fleet_size=total, jobs=total)
             state = self._state
             for i, job in enumerate(jobs):
                 self.submit(job.to_task(i))
             while len(state["results"]) < total:
-                if not self.pump() and len(state["results"]) < total:
-                    time.sleep(_POLL_SLEEP)
+                self.pump()
             worker_metrics = self.stop()
-        except BaseException as exc:
-            interrupted = isinstance(
-                exc, (KeyboardInterrupt, SystemExit, PoolInterrupted)
-            )
-            raise
         finally:
             if previous_term is not None:
                 # a second SIGTERM racing the cleanup must not abort
@@ -433,22 +462,13 @@ class WorkerPool:
                 except (ValueError, OSError):  # pragma: no cover
                     pass
             if self._started:
-                # the normal path already ran stop(); reaching here
-                # still started means an exception (or a signal) broke
-                # the loop — take the emergency exit so no worker
-                # outlives the batch, and never attempt the partial
-                # _save_store below (the raise skips it)
-                if interrupted:
-                    self.kill()
-                else:
-                    try:
-                        self.stop()
-                    except Exception:
-                        self.kill()
+                # stop() never finished: an exception or a signal broke
+                # the batch, so no worker may outlive it and no partial
+                # capture may be saved
+                self.kill()
             if previous_term is not None:
                 signal.signal(signal.SIGTERM, previous_term)
         wall = time.perf_counter() - started
-        self._save_store(state)
         results = [state["results"][i] for i in sorted(state["results"])]
         return BatchReport(
             results, wall, self.workers, retries=state["retries"],
@@ -486,6 +506,17 @@ class WorkerPool:
                 self._affinity[key] = worker.id
             return task
         return None
+
+    def _sweep(self):
+        """Drain every worker's result queue once; after a sweep where
+        nothing arrived, wait out ``_POLL_SLEEP`` before returning.
+        True if anything arrived."""
+        progressed = False
+        for worker in self._fleet:
+            progressed |= self._pump(worker, self._state)
+        if not progressed:
+            time.sleep(_POLL_SLEEP)
+        return progressed
 
     def _pump(self, worker, state):
         """Drain one worker's result queue; True if anything arrived."""
@@ -658,18 +689,16 @@ class WorkerPool:
         self._discard(worker)
         return self._spawn()
 
-    def _save_store(self, state=None):
+    def _save_store(self):
         """Fold the fragments the workers learned into the snapshot at
         ``store_save`` (merging whatever is already there, plus the
         read snapshot when it is a different file).  Insert-only merge
         over an atomic replace: a concurrent batch's or daemon's
         fragments are never clobbered and a reader never sees a torn
         file."""
-        if not self.store_save:
-            return None
-        state = state if state is not None else self._state
-        if state is None or not state["store_new"]:
-            return None
+        state = self._state
+        if not self.store_save or not state["store_new"]:
+            return
         from repro.solver.store import SolverStore
 
         store = SolverStore()
@@ -682,9 +711,8 @@ class WorkerPool:
         try:
             store.save_merged(self.store_save)
         except OSError:
-            return None
+            return
         state["store_new"] = []
-        return store
 
     def _fail_pending(self):
         """Workers keep dying before taking any task — fail what's left
@@ -710,9 +738,10 @@ class WorkerPool:
                     attempts=task["attempts"],
                 )
 
-    def _collect_final_stats(self, fleet, state):
+    def _collect_final_stats(self):
         """Stop the fleet and collect the final metric snapshots of
         every worker that can still produce one."""
+        fleet, state = self._fleet, self._state
         expected = 0
         for worker in fleet:
             if worker.proc.is_alive():
@@ -723,75 +752,21 @@ class WorkerPool:
                     pass
         deadline = time.monotonic() + 5.0
         while state["stats_seen"] < expected and time.monotonic() < deadline:
-            progressed = False
-            for worker in fleet:
-                progressed |= self._pump(worker, state)
-            if not progressed:
-                if all(not w.proc.is_alive() for w in fleet):
-                    for worker in fleet:
-                        self._pump(worker, state)
-                    break
-                time.sleep(_POLL_SLEEP)
+            if not self._sweep() \
+                    and all(not w.proc.is_alive() for w in fleet):
+                for worker in fleet:
+                    self._pump(worker, state)
+                break
         for worker in fleet:
             self._discard(worker)
         return state["worker_metrics"]
 
 
-def solve_batch(jobs, workers=2, fuel=None, seconds=None, max_char=None,
-                retries=1, reap_grace=DEFAULT_REAP_GRACE, start_method=None,
-                progress=None, max_tasks=None, max_rss_mb=None,
-                max_cache_entries=None, compact_entries=None,
-                flight_dir=None, slow_s=None, slow_explored=None,
-                heartbeat_s=None, trace_solver=False, explain=False,
-                store_path=None, store_save=None):
-    """Solve ``jobs`` on a pool of ``workers`` processes.
-
-    Returns a :class:`~repro.serve.report.BatchReport` with one
-    order-stable result per job; no input — however pathological — can
-    abort the batch (crashes and hangs become structured ``error`` /
-    ``unknown`` records).  An empty job list returns an empty report
-    without spawning anything; duplicate job names raise ``ValueError``
-    before any work starts.
-
-    ``max_tasks`` / ``max_rss_mb`` / ``max_cache_entries`` recycle
-    workers at the corresponding watermark (counted in ``report.
-    recycled``); ``compact_entries`` arms in-worker cache compaction.
-    Verdicts are unaffected by any of them — a recycled worker merely
-    restarts with cold caches.
-
-    ``flight_dir`` arms the flight recorder: per-process event/span
-    streams, worker heartbeats (``heartbeat_s`` between beats) and
-    slow-query artifacts for tasks past ``slow_s`` seconds or
-    ``slow_explored`` explored states land under that directory, plus
-    a merged ``timeline.json`` at batch end (see
-    :mod:`repro.obs.flight`).  The recorder keeps one task-level span
-    per job; ``trace_solver`` additionally streams the solver's
-    internal spans into the flight (markedly slower on derivative-heavy
-    queries — a debugging mode, not a default).  Verdicts are
-    unaffected by any of it.
-
-    ``explain`` turns on verdict provenance in every worker: each
-    concrete pattern/smt2 verdict carries a certificate that the
-    worker re-checks with the independent checker before reporting,
-    and each task result gains an ``explanation`` summary (``report.
-    certified`` counts the checked ones).  Verdicts are unaffected.
-
-    ``store_path`` gives every worker (including replacements spawned
-    after recycling — a warm restart) a shared read-only warm-store
-    snapshot to load on spawn; ``store_save`` additionally captures the
-    fragments workers learn and merges them into that file at batch
-    end.  Either one also arms affinity routing: repeat payloads
-    prefer the worker that already compiled them.  Verdicts are
-    unaffected — a warm hit replays the exact rows a cold solve would
-    rebuild (see :mod:`repro.solver.store`).
-    """
-    pool = WorkerPool(
-        workers=workers, fuel=fuel, seconds=seconds, max_char=max_char,
-        retries=retries, reap_grace=reap_grace, start_method=start_method,
-        progress=progress, max_tasks=max_tasks, max_rss_mb=max_rss_mb,
-        max_cache_entries=max_cache_entries, compact_entries=compact_entries,
-        flight_dir=flight_dir, slow_s=slow_s, slow_explored=slow_explored,
-        heartbeat_s=heartbeat_s, trace_solver=trace_solver, explain=explain,
-        store_path=store_path, store_save=store_save,
-    )
-    return pool.run(jobs)
+def solve_batch(jobs, workers=2, **options):
+    """Solve ``jobs`` on a fresh :class:`WorkerPool` of ``workers``
+    processes (``options`` are the pool's); returns its
+    :class:`~repro.serve.report.BatchReport`, one order-stable result
+    per job.  No input, however pathological, can abort the batch:
+    crashes and hangs become structured ``error`` / ``unknown``
+    records."""
+    return WorkerPool(workers=workers, **options).run(jobs)

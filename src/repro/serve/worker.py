@@ -5,8 +5,9 @@ a persistent :class:`~repro.solver.engine.RegexSolver` (whose graph
 ``G`` and derivative memos accumulate across the worker's tasks, the
 same way a long-lived solver process would warm up), and an
 :class:`~repro.solver.smt.SmtSolver` on top.  ``bench`` tasks instead
-build a fresh solver of the named benchmark engine per task, mirroring
-:func:`repro.bench.harness.run_problem`.
+build a fresh solver of the named benchmark engine per task through
+:func:`repro.bench.harness.solve_cell`, the serial harness's own cell
+function.
 
 Every task produces exactly one result message; *any* exception during
 solving is mapped to a structured ``error`` result — the worker loop
@@ -14,7 +15,8 @@ itself must only die if its process is killed (which the pool treats
 as a crash and isolates to the task that was running).  No sat answer
 leaves a worker unchecked: ``smt2`` models are validated by
 :class:`~repro.solver.smt.SmtSolver`, and ``pattern`` witnesses are
-replayed here through the reference semantics.
+replayed through the reference semantics by
+:func:`~repro.solver.smt.solve_and_replay`, as in ``repro check``.
 """
 
 import os
@@ -27,8 +29,8 @@ from repro.obs import Observability
 from repro.regex import RegexBuilder, parse
 from repro.solver.engine import RegexSolver
 from repro.solver.lifecycle import CompactionPolicy
-from repro.solver.result import UNKNOWN, Budget, error_info
-from repro.solver.smt import InvalidWitness, SmtSolver, check_witness
+from repro.solver.result import Budget, error_info
+from repro.solver.smt import SmtSolver, solve_and_replay
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -164,7 +166,7 @@ def _solve_smt2(state, task):
 
 def _solve_pattern(state, task):
     regex = parse(state.builder, task["payload"])
-    result = state.regex_solver.is_satisfiable(regex, state.budget())
+    result = solve_and_replay(state.regex_solver, regex, state.budget())
     out = {
         "status": result.status,
         "witness": result.witness,
@@ -172,15 +174,6 @@ def _solve_pattern(state, task):
         "error": result.error,
         "stats": _result_stats(result),
     }
-    if result.is_sat:
-        # the engine trusts warm-store rows by root identity only, so a
-        # corrupt row could turn into a witness outside the language:
-        # replay it, and degrade to unknown as SmtSolver does
-        try:
-            check_witness(state.builder, regex, result.witness, "pattern")
-        except InvalidWitness as exc:
-            out.update(status=UNKNOWN, witness=None, reason=str(exc),
-                       error=error_info(exc))
     explanation = _result_explanation(result)
     if explanation is not None:
         out["explanation"] = explanation
@@ -188,31 +181,29 @@ def _solve_pattern(state, task):
 
 
 def _solve_bench(state, task):
-    """One (engine, problem) benchmark cell, with the exact outcome
-    semantics of :func:`repro.bench.harness.run_problem` (wrong answers
-    and unknowns are "timeout", sat models are validated)."""
+    """One (engine, problem) benchmark cell through
+    :func:`repro.bench.harness.solve_cell`, the function the serial
+    harness runs.  The problem arrives as SMT-LIB text or, for a
+    lookaround problem (which has no SMT-LIB form), as the printed
+    pattern of its one ``str.in_re``."""
     from repro.bench.engines import engine_by_name
-    from repro.bench.harness import record_outcome
+    from repro.bench.harness import solve_cell
     from repro.smtlib.parser import parse_script
+    from repro.solver.formula import InRe
 
     payload = task["payload"]
-    engine = engine_by_name(payload["engine"])
-    solver = engine.fresh_solver(state.builder)
-    seconds = state.config.get("seconds")
-    script = parse_script(state.builder, payload["smt2"])
-    started = time.perf_counter()
-    result = solver.solve(script.formula, budget=state.budget())
-    elapsed = time.perf_counter() - started
-    status, outcome, stats = record_outcome(
-        result, solver, task.get("expected"), formula=script.formula
+    if "pattern" in payload:
+        formula = InRe("s", parse(state.builder, payload["pattern"]))
+    else:
+        formula = parse_script(state.builder, payload["smt2"]).formula
+    status, elapsed, outcome, stats = solve_cell(
+        engine_by_name(payload["engine"]), state.builder, formula,
+        task.get("expected"), state.config.get("fuel"),
+        state.config.get("seconds"),
     )
-    if seconds is not None:
-        elapsed = min(elapsed, seconds)
     return {
         "status": status,
         "outcome": outcome,
-        "reason": result.reason,
-        "error": result.error,
         "stats": stats,
         "bench_elapsed": elapsed,
     }

@@ -270,6 +270,26 @@ def check_witness(builder, regex, witness, subject):
         )
 
 
+def solve_and_replay(solver, regex, budget=None):
+    """``solver.is_satisfiable(regex, budget)`` with the sat witness
+    replayed through :func:`check_witness`: how ``repro check`` and the
+    serve workers' ``pattern`` task answer a pattern.  The engine trusts
+    warm-store rows by root identity only, so a corrupt row could yield
+    a witness outside the language; that answer degrades to a typed
+    ``unknown`` carrying the :class:`InvalidWitness`, as in
+    :class:`SmtSolver`."""
+    result = solver.is_satisfiable(regex, budget)
+    if result.is_sat:
+        try:
+            check_witness(solver.builder, regex, result.witness, "pattern")
+        except InvalidWitness as exc:
+            return SolverResult(
+                UNKNOWN, reason=str(exc), error=error_info(exc),
+                stats=result.stats, explanation=result.explanation,
+            )
+    return result
+
+
 def _len_cmp(length, op, bound):
     """Arithmetic reading of a length atom on a concrete length."""
     if op == "=":

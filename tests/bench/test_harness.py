@@ -1,5 +1,7 @@
 """The benchmark harness and reporting machinery."""
 
+import os
+
 import pytest
 
 from repro.alphabet import IntervalAlgebra
@@ -131,3 +133,32 @@ def test_run_matrix_parallel_rejects_unknown_engine(builder, problems):
     bogus = Engine("no-such-engine", lambda b: None)
     with pytest.raises(KeyError, match="no-such-engine"):
         run_matrix([bogus], problems, builder, fuel=1000, seconds=1.0, jobs=2)
+
+
+def test_run_matrix_jobs_solves_lookaround_cells_in_workers(monkeypatch):
+    """Lookaround problems have no SMT-LIB form; they still travel to
+    the workers (as printed patterns) instead of being solved in the
+    calling process, with every cell's verdict unchanged."""
+    from repro.bench import harness
+    from repro.bench.generators import lookarounds
+
+    builder = RegexBuilder(IntervalAlgebra())
+    problems = lookarounds.generate(builder)
+    engines = default_engines()
+    serial = run_matrix(engines, problems, builder, fuel=50000, seconds=5.0)
+    solved_here = []
+    cell = harness.solve_cell
+
+    def spy(*args, **kwargs):
+        # forked workers inherit the spy; only this process's calls
+        # land in this process's list
+        solved_here.append(os.getpid())
+        return cell(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_cell", spy)
+    par = run_matrix(engines, problems, builder, fuel=50000, seconds=5.0,
+                     jobs=2)
+    assert solved_here == []
+    assert len(serial) == len(engines) * len(problems) == 90
+    assert [(r.engine, r.problem.name, r.status, r.outcome) for r in par] \
+        == [(r.engine, r.problem.name, r.status, r.outcome) for r in serial]

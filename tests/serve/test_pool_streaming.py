@@ -198,3 +198,25 @@ class TestBatchEdgeCases:
                 workers=2, **BUDGET,
             )
         assert len(multiprocessing.active_children()) == before
+
+    def test_exception_mid_batch_kills_without_stop_or_store_save(
+            self, tmp_path):
+        # not only a signal: any exception out of run() takes kill(),
+        # never the graceful stop(), so no partial capture is saved
+        store = tmp_path / "store.json"
+        pids, stops = [], []
+
+        def progress(_done, _total):
+            pids.extend(pool.worker_pids())
+            raise RuntimeError("progress callback failed")
+
+        pool = WorkerPool(workers=2, progress=progress, store_path=str(store),
+                          store_save=str(store), **BUDGET)
+        graceful = pool.stop
+        pool.stop = lambda: stops.append(1) or graceful()
+        with pytest.raises(RuntimeError, match="progress callback"):
+            pool.run([Job("a", "pattern", "a|b"),
+                      Job("b", "pattern", "(a|b)*abb")])
+        assert stops == []
+        assert pids and not any(_pid_alive(pid) for pid in pids)
+        assert not store.exists()

@@ -140,6 +140,22 @@ def test_solve_jobs_matches_serial(capsys, tmp_path):
         [l.split(": ")[1].split()[0] for l in out_serial.splitlines()]
 
 
+def test_solve_jobs_forwards_explain(capsys, tmp_path):
+    # like `repro --explain batch`, the pooled solve has every verdict
+    # certificate checked in its worker
+    a = tmp_path / "a.smt2"
+    b = tmp_path / "b.smt2"
+    a.write_text(SMT2_SAT)
+    b.write_text(SMT2_UNSAT)
+    status, out = run(capsys, "--explain", "solve", str(a), str(b),
+                      "--jobs", "2")
+    assert status == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("%s: sat" % a)
+    assert lines[1].startswith("%s: unsat" % b)
+    assert all(line.endswith("[certified]") for line in lines)
+
+
 def test_batch_directory(capsys, tmp_path):
     (tmp_path / "a.smt2").write_text(SMT2_SAT)
     (tmp_path / "b.smt2").write_text(SMT2_UNSAT)
@@ -401,3 +417,42 @@ def test_check_store_corrupt_file_starts_cold(capsys, tmp_path):
     import json as json_mod
 
     assert "fragments" in json_mod.loads(store.read_text())
+
+
+def test_check_store_corrupt_row_is_replayed_to_unknown(capsys, tmp_path):
+    """Warm-store rows are trusted by root identity only: retarget a
+    non-root row of a captured fragment to a nullable state (as the
+    daemon's trust-boundary test does) and the warm solve finds a
+    "witness" outside the language, which ``check`` must replay and
+    answer as a typed unknown, never as sat."""
+    import json as json_mod
+
+    from repro.alphabet import IntervalAlgebra
+    from repro.regex import RegexBuilder, parse
+    from repro.solver import Budget, RegexSolver
+    from repro.solver.store import SolverStore
+
+    pattern = "a{3}b"
+    builder = RegexBuilder(IntervalAlgebra())
+    store = SolverStore()
+    RegexSolver(builder, store=store).is_satisfiable(
+        parse(builder, pattern), Budget(fuel=100000, seconds=5.0)
+    )
+    snapshot = store.to_dict()
+    (fragment,) = snapshot["fragments"]
+    nullable = next(
+        idx for idx, text in enumerate(fragment["states"])
+        if parse(builder, text).nullable
+    )
+    row = next(idx for idx in sorted(fragment["rows"]) if idx != "0")
+    for _ranges, targets in fragment["rows"][row]:
+        targets[:] = [nullable] * len(targets)
+    storepath = tmp_path / "corrupt.json"
+    storepath.write_text(json_mod.dumps(snapshot), encoding="utf-8")
+
+    status, out = run(capsys, "--store", str(storepath), "check", pattern)
+    assert status == 2
+    assert out.splitlines()[0] == "unknown"
+    assert "reason: InvalidWitness: " in out
+    assert "witness:" not in out
+    assert "(1 hits, 0 misses)" in out  # the corrupt row was used
