@@ -9,7 +9,9 @@ only cover piecewise:
   budget — every job still resolves, and the over-budget client's
   tail lands *after* the compliant clients' jobs (degraded banding);
 * verdict and witness parity against a serial ``solve_batch`` oracle
-  over the same workload;
+  over the same workload, with the serving recorded as a flight whose
+  pool lane holds the daemon's own events and which ``repro status``
+  renders;
 * a worker-crash injection mid-traffic — the crash is isolated to its
   own job (structured ``error``), the fleet replaces the worker, and
   jobs after the crash still resolve correctly;
@@ -31,6 +33,9 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
+from repro.__main__ import main as cli_main
+from repro.obs.events import read_events
+from repro.obs.flight import events_path
 from repro.serve import (
     AdmissionController, DaemonClient, Job, SolverDaemon, solve_batch,
 )
@@ -69,8 +74,9 @@ def serial_oracle():
     }
 
 
-def smoke_concurrent_parity(sock_path, oracle):
-    print("daemon: 3 concurrent clients, one over budget, parity check")
+def smoke_concurrent_parity(sock_path, oracle, flight_dir):
+    print("daemon: 3 concurrent clients, one over budget, parity check, "
+          "recording to %s" % flight_dir)
     # every client gets 6 tokens and no refill: the polite clients (6
     # jobs each) stay exactly in budget, the hog's second half is
     # admitted degraded (the queue stays far below the soft watermark,
@@ -95,7 +101,7 @@ def smoke_concurrent_parity(sock_path, oracle):
             outcomes.update(got)
 
     with SolverDaemon(path=sock_path, workers=2, admission=admission,
-                      **BUDGET) as daemon:
+                      flight_dir=flight_dir, **BUDGET) as daemon:
         original_send = daemon._send_result
 
         def tracking_send(ticket, payload, **kwargs):
@@ -147,6 +153,13 @@ def smoke_concurrent_parity(sock_path, oracle):
           and stats["latency"]["p50_s"] <= stats["latency"]["p99_s"],
           "latency quantiles present and ordered (p50=%.4fs p99=%.4fs)"
           % (stats["latency"]["p50_s"], stats["latency"]["p99_s"]))
+    pool_kinds = [record["kind"] for record in
+                  read_events(events_path(flight_dir, "pool"))]
+    check({"daemon.start", "job.result", "daemon.stop"} <= set(pool_kinds),
+          "the pool lane recorded the daemon's serving (%d job.result)"
+          % pool_kinds.count("job.result"))
+    check(cli_main(["status", flight_dir]) == 0,
+          "repro status renders the daemon's flight")
 
 
 def smoke_crash_isolation(sock_path, oracle):
@@ -217,7 +230,8 @@ def main():
     oracle = serial_oracle()
     check(len(oracle) == len(PATTERNS), "serial oracle covers workload")
     with tempfile.TemporaryDirectory(prefix="smoke-daemon-") as tmp:
-        smoke_concurrent_parity(os.path.join(tmp, "a.sock"), oracle)
+        smoke_concurrent_parity(os.path.join(tmp, "a.sock"), oracle,
+                                os.path.join(tmp, "flight"))
         smoke_crash_isolation(os.path.join(tmp, "b.sock"), oracle)
         smoke_structured_rejection(os.path.join(tmp, "c.sock"))
     print("smoke_daemon: all checks passed")

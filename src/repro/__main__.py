@@ -14,9 +14,10 @@ Commands:
   or a ``.jsonl`` job file on a worker pool (``--jobs``, ``--retries``,
   ``--output results.jsonl``); exit 1 when any task errored, 2 when
   any came back unknown, 0 otherwise.  With ``--flight-dir DIR`` the
-  batch records a flight: structured events, worker heartbeats, a
-  merged Chrome-trace timeline, and replayable slow-query artifacts
-  for tasks past ``--slow-threshold`` / ``--slow-explored``;
+  batch records a flight: one record stream per process (events, span
+  records, worker heartbeats), a merged Chrome-trace timeline, and
+  replayable slow-query artifacts for tasks past ``--slow-threshold``
+  / ``--slow-explored``;
 * ``status DIR`` — render a flight directory as text: per-worker
   lanes, latency quantiles, top slow queries, fleet incidents;
 * ``replay PATH`` — re-solve captured slow-query artifacts (one
@@ -58,7 +59,7 @@ import sys
 from repro.alphabet import IntervalAlgebra
 from repro.errors import ReproError
 from repro.matcher import RegexMatcher
-from repro.obs import Observability, Tracer, render_hotspots, write_collapsed
+from repro.obs import Observability, Recorder, render_hotspots, write_collapsed
 from repro.regex import RegexBuilder, parse, to_pattern
 from repro.smtlib.interp import run_file
 from repro.solver import Budget, RegexSolver, SmtSolver
@@ -149,9 +150,10 @@ def build_parser():
                        help="compact worker solver caches past N entries "
                             "instead of letting them grow unboundedly")
     batch.add_argument("--flight-dir", metavar="DIR", default=None,
-                       help="record the batch as a flight: structured "
-                            "events, heartbeats, slow-query artifacts and "
-                            "a merged Chrome-trace timeline under DIR")
+                       help="record the batch as a flight under DIR: one "
+                            "events-<lane>.jsonl record stream per process "
+                            "(events, spans, heartbeats), slow-query "
+                            "artifacts and a merged Chrome-trace timeline")
     batch.add_argument("--slow-threshold", type=float, default=None,
                        metavar="S",
                        help="capture tasks slower than S seconds as "
@@ -176,7 +178,7 @@ def build_parser():
     )
     status.add_argument("flight_dir",
                         help="flight directory recorded by "
-                             "batch --flight-dir")
+                             "batch or serve --flight-dir")
     status.add_argument("--top", type=int, default=5,
                         help="slow queries to list (default 5)")
 
@@ -247,8 +249,10 @@ def build_parser():
                        metavar="N",
                        help="compact worker solver caches past N entries")
     serve.add_argument("--flight-dir", metavar="DIR", default=None,
-                       help="record the daemon's serving as a flight "
-                            "(events, heartbeats, slow-query artifacts)")
+                       help="record the daemon's serving as a flight: "
+                            "its daemon/client/job events with the pool's "
+                            "in events-pool.jsonl, per-worker record "
+                            "streams, slow-query artifacts and a timeline")
     serve.add_argument("--no-shutdown-op", action="store_true",
                        help="refuse the protocol's shutdown op (stop the "
                             "daemon with SIGINT instead)")
@@ -464,7 +468,7 @@ def _run(args):
     algebra = IntervalAlgebra(127) if args.ascii else IntervalAlgebra()
     builder = RegexBuilder(algebra)
     budget = lambda: Budget(fuel=args.fuel, seconds=args.seconds)
-    tracer = Tracer() if (args.trace or args.profile) else None
+    tracer = Recorder() if (args.trace or args.profile) else None
     obs = Observability(tracer=tracer) if tracer else Observability()
     out = []
     result = None
@@ -610,9 +614,9 @@ def _run(args):
                   file=sys.stderr)
             return 2
         try:
-            event_files, span_files = list_streams(args.flight_dir)
+            streams = list_streams(args.flight_dir)
             artifacts = list_artifacts(args.flight_dir)
-            if not event_files and not span_files and not artifacts:
+            if not streams and not artifacts:
                 print("status: no flight streams under %s (empty or not "
                       "a flight directory)" % args.flight_dir,
                       file=sys.stderr)

@@ -25,7 +25,6 @@ Concrete implementations:
 from abc import ABC, abstractmethod
 
 from repro.errors import AlgebraError
-from repro.obs.tracing import NULL_TRACER
 
 
 class BooleanAlgebra(ABC):
@@ -41,22 +40,20 @@ class BooleanAlgebra(ABC):
     # Counting stays on always: concrete algebras bump the plain ints
     # ``_op_count`` in conj/disj/neg and ``_sat_count`` in
     # is_sat/is_valid — a bare ``+=`` is cheaper than any instrument
-    # call at predicate-operation frequencies.  ``bind_metrics``
-    # remembers a registry so ``sync_metrics`` can publish the totals;
-    # a *live* tracer additionally shadows ``is_sat`` with a
+    # call at predicate-operation frequencies.  ``bind_metrics`` has a
+    # registry's ``algebra`` scope read the totals in place; a *live*
+    # span recorder additionally shadows ``is_sat`` with a
     # span-emitting wrapper, so untraced runs pay nothing for it.
 
     _op_count = 0
     _sat_count = 0
-    _metrics = None
-    _tracer = NULL_TRACER
 
     def bind_metrics(self, registry, tracer=None):
         """Attach this algebra to a :class:`~repro.obs.metrics.
-        MetricsRegistry` (``algebra`` scope) and optionally a tracer."""
-        self._metrics = registry
+        MetricsRegistry` (``algebra`` scope) and optionally a span
+        recorder."""
+        registry.scope("algebra").read_from(self._counters)
         if tracer is not None and tracer.enabled:
-            self._tracer = tracer
             inner = type(self).is_sat
 
             def traced_is_sat(phi, _inner=inner, _self=self, _span=tracer.span):
@@ -66,14 +63,8 @@ class BooleanAlgebra(ABC):
             self.is_sat = traced_is_sat
         return self
 
-    def sync_metrics(self):
-        """Publish the operation/sat-check totals into the bound
-        registry (no-op when unbound or metrics are disabled)."""
-        if self._metrics is None or not self._metrics.enabled:
-            return
-        scope = self._metrics.scope("algebra")
-        scope.counter("ops").value = self._op_count
-        scope.counter("sat_checks").value = self._sat_count
+    def _counters(self):
+        return {"ops": self._op_count, "sat_checks": self._sat_count}
 
     @property
     def op_count(self):

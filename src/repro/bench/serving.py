@@ -33,6 +33,7 @@ import threading
 import time
 
 from repro.bench.warm import DISTINCT_PATTERNS, _solve_once, zipf_workload
+from repro.obs.metrics import percentile
 from repro.serve.client import DaemonClient
 from repro.serve.daemon import SolverDaemon
 
@@ -47,13 +48,6 @@ def _serial_oracle(patterns, fuel, seconds):
         _elapsed, result = _solve_once(pattern, None, fuel, seconds)
         oracle[pattern] = (result.status, result.witness)
     return oracle
-
-
-def _percentile(sorted_values, q):
-    if not sorted_values:
-        return None
-    return sorted_values[min(len(sorted_values) - 1,
-                             int(q * len(sorted_values)))]
 
 
 def _client_worker(address, patterns, out, errors):
@@ -166,9 +160,9 @@ def run_serving_suite(clients=DEFAULT_CLIENTS, length=DEFAULT_LENGTH,
             elif status in ("sat", "unsat"):
                 solved += 1
     latencies.sort()
-    p50 = _percentile(latencies, 0.50)
-    p90 = _percentile(latencies, 0.90)
-    p99 = _percentile(latencies, 0.99)
+    p50 = percentile(latencies, 0.50)
+    p90 = percentile(latencies, 0.90)
+    p99 = percentile(latencies, 0.99)
     per_query = wall / total if total else None
     store = stats.get("store") or {}
     counters = {

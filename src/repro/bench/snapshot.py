@@ -34,7 +34,7 @@ from repro.alphabet import IntervalAlgebra
 from repro.bench.engines import default_engines
 from repro.bench.harness import Engine, run_matrix, run_problem
 from repro.bench.suites import all_suites, label_problems
-from repro.obs import Observability
+from repro.obs import Observability, percentile
 from repro.obs.profile import profile_summary
 from repro.regex import RegexBuilder
 from repro.solver.engine import RegexSolver
@@ -59,16 +59,8 @@ def suite_key(problem):
     return problem.suite
 
 
-def _percentile(sorted_values, q):
-    """Nearest-rank percentile of an ascending list."""
-    if not sorted_values:
-        return None
-    rank = max(int(-(-q * len(sorted_values) // 1)), 1)  # ceil, min rank 1
-    return sorted_values[min(rank - 1, len(sorted_values) - 1)]
-
-
 #: Metric names under this prefix are gauge *levels* (current cache
-#: sizes published by the lifecycle layer), not event counters: summing
+#: sizes the lifecycle layer reports), not event counters: summing
 #: them across records would be meaningless, so they aggregate as the
 #: peak observed value instead.
 _LEVEL_PREFIX = "cache."
@@ -120,7 +112,7 @@ def aggregate_cells(records, budget_seconds):
             "wrong": wrong,
             "timeout_rate": timeouts / len(recs),
             "median_s": statistics.median(times),
-            "p90_s": _percentile(times, 0.90),
+            "p90_s": percentile(times, 0.90),
             "mean_s": statistics.fmean(times),
             "max_s": times[-1],
             "counters": counters,
@@ -246,10 +238,10 @@ def subsample(problems, stride):
 
 def profile_pass(problems, builder, fuel, seconds, max_problems=PROFILE_PROBLEMS):
     """Run the reference engine over a bounded problem sample with
-    tracing on; returns the span events for attribution.
+    tracing on; returns the span records for attribution.
 
-    The per-problem solvers share one tracer, so the events accumulate
-    into a single stream covering the whole pass.
+    The per-problem solvers share one span recorder, so the records
+    accumulate into a single stream covering the whole pass.
     """
     obs = Observability.tracing()
     engine = Engine("sbd", lambda b: RegexSolver(b, obs=obs))

@@ -78,8 +78,8 @@ class DerivativeEngine:
         self._deriv_memo = {}  # regex uid -> tree
         self._meld_memo = {}   # (op, uid, uid, path) -> tree
         # hot-path counters are plain ints (a bare ``+=`` beats even a
-        # no-op method call at derivative/meld frequencies); they're
-        # pushed into the registry by sync_metrics() at query boundaries
+        # no-op method call at derivative/meld frequencies); the
+        # registry's ``deriv`` scope reads them in place at snapshot time
         self.sat_checks = 0
         self.deriv_memo_hits = 0
         self.deriv_memo_misses = 0
@@ -90,19 +90,16 @@ class DerivativeEngine:
         self._span = (
             self.obs.tracer.span if self.obs.tracer.enabled else None
         )
+        self.obs.metrics.scope("deriv").read_from(self._counters)
 
-    def sync_metrics(self):
-        """Publish the plain-int counters into the ``deriv`` scope of
-        the metrics registry (no-op when metrics are disabled)."""
-        metrics = self.obs.metrics
-        if not metrics.enabled:
-            return
-        scope = metrics.scope("deriv")
-        scope.counter("sat_checks").value = self.sat_checks
-        scope.counter("deriv_memo_hits").value = self.deriv_memo_hits
-        scope.counter("deriv_memo_misses").value = self.deriv_memo_misses
-        scope.counter("meld_memo_hits").value = self.meld_memo_hits
-        scope.counter("meld_memo_misses").value = self.meld_memo_misses
+    def _counters(self):
+        return {
+            "sat_checks": self.sat_checks,
+            "deriv_memo_hits": self.deriv_memo_hits,
+            "deriv_memo_misses": self.deriv_memo_misses,
+            "meld_memo_hits": self.meld_memo_hits,
+            "meld_memo_misses": self.meld_memo_misses,
+        }
 
     # -- interning ---------------------------------------------------------
 

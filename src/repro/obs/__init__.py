@@ -1,22 +1,30 @@
-"""repro.obs — solver telemetry: metrics, span tracing, trace export.
+"""repro.obs — solver telemetry: metrics, one record stream, views.
 
 The paper's performance story is about *why* lazy symbolic derivatives
 win — states explored, memo hit rates, sat-check volume — so the solver
-carries an :class:`Observability` bundle through every layer:
+carries an :class:`Observability` bundle through every layer.  It has
+three channels:
 
 * ``obs.metrics`` — a :class:`~repro.obs.metrics.MetricsRegistry` of
-  counters/gauges/log-scale histograms, cheap enough to stay on by
-  default (the default bundle enables it);
-* ``obs.tracer`` — a :class:`~repro.obs.tracing.Tracer` producing
-  nested spans (``solver.explore``, ``deriv.tree``, ``deriv.meld``,
-  ``algebra.sat_check``, ``smt.case_split``, ``graph.update``) with
-  JSONL and Chrome ``trace_event`` export, off by default;
-* :mod:`repro.obs.profile` — span-stream attribution: collapsed-stack
-  output (flamegraph.pl / speedscope) and per-span self-time hotspot
-  tables, driving the CLI ``--profile`` flag and the BENCH snapshots.
+  counters, gauges and histograms, on by default; at snapshot time it
+  reads the engine, graph, algebra and solver counters and the cache
+  sizes in place;
+* the record stream — a :class:`~repro.obs.events.Recorder` writing
+  spans, events and heartbeats in one envelope (``v``/``kind``/``ts``/
+  ``pid``/``worker``/``job``).  ``obs.tracer`` is the recorder spans
+  (``solver.explore``, ``deriv.tree``, ``deriv.meld``,
+  ``algebra.sat_check``, ``smt.case_split``, ``graph.update``) go to,
+  ``obs.events`` the one events go to; both are off by default, and in
+  a flight both are the worker's one recorder;
+* :class:`~repro.solver.result.SolverStats` on every result.
 
-``Observability.disabled()`` swaps both for no-op backends so
-instrumented hot paths cost one attribute lookup per event.
+Views over the record stream: :func:`chrome_trace` (``--trace``, the
+flight ``timeline.json``), :mod:`repro.obs.profile` (collapsed stacks
+and self-time hotspot tables for ``--profile`` and the BENCH
+snapshots) and :mod:`repro.obs.flight` (``repro status``).
+
+``Observability.disabled()`` swaps every channel for a no-op backend,
+so instrumented hot paths cost one attribute lookup per event.
 """
 
 from repro.obs.explain import (
@@ -25,36 +33,35 @@ from repro.obs.explain import (
     explain_witness,
 )
 from repro.obs.events import (
-    EVENT_KINDS, EVENT_SCHEMA_VERSION, EventLog, NULL_EVENTS, NullEventLog,
-    read_events, validate_event,
+    EVENT_KINDS, EVENT_SCHEMA_VERSION, NULL_RECORDER, NullRecorder, Recorder,
+    chrome_trace, read_chrome, read_events, read_jsonl, validate_event,
 )
 from repro.obs.metrics import (
     Counter, Gauge, Histogram, MetricsRegistry,
     NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, NULL_METRICS, NullMetrics,
+    percentile,
 )
 from repro.obs.profile import (
     collapsed_stacks, hotspots, profile_summary, read_collapsed,
     render_hotspots, write_collapsed,
-)
-from repro.obs.tracing import (
-    NULL_TRACER, NullTracer, Tracer,
-    chrome_trace, read_chrome, read_jsonl,
 )
 
 
 class Observability:
     """The bundle threaded through solver, derivatives and algebras.
 
-    The default construction keeps metrics live, tracing off and the
-    structured event log off — the recommended always-on configuration.
+    The default construction keeps metrics live and records nothing —
+    the recommended always-on configuration.  ``tracer`` and ``events``
+    are the recorders spans and events go to (the null recorder when
+    omitted); a flight passes one recorder for both.
     """
 
     __slots__ = ("metrics", "tracer", "events")
 
     def __init__(self, metrics=None, tracer=None, events=None):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.events = events if events is not None else NULL_EVENTS
+        self.tracer = tracer if tracer is not None else NULL_RECORDER
+        self.events = events if events is not None else NULL_RECORDER
 
     @classmethod
     def disabled(cls):
@@ -63,8 +70,9 @@ class Observability:
 
     @classmethod
     def tracing(cls):
-        """Metrics plus a live tracer (for ``--trace`` style runs)."""
-        return cls(tracer=Tracer())
+        """Metrics plus an in-memory span recorder (for ``--trace``
+        style runs)."""
+        return cls(tracer=Recorder())
 
     @property
     def enabled(self):
@@ -81,7 +89,7 @@ class Observability:
 
 #: The all-off singleton handed out by :meth:`Observability.disabled`.
 NULL_OBS = Observability(
-    metrics=NULL_METRICS, tracer=NULL_TRACER, events=NULL_EVENTS,
+    metrics=NULL_METRICS, tracer=NULL_RECORDER, events=NULL_RECORDER,
 )
 
 
@@ -90,13 +98,12 @@ __all__ = [
     "CERT_SCHEMA_VERSION", "CertificateError", "CheckResult",
     "ExplainRecorder", "Explanation", "SmtExplanation",
     "check_certificate", "explain_pattern", "explain_witness",
-    "EventLog", "NullEventLog", "NULL_EVENTS",
+    "Recorder", "NullRecorder", "NULL_RECORDER",
     "EVENT_KINDS", "EVENT_SCHEMA_VERSION", "read_events", "validate_event",
+    "chrome_trace", "read_chrome", "read_jsonl",
     "MetricsRegistry", "Counter", "Gauge", "Histogram",
     "NullMetrics", "NULL_METRICS", "NULL_COUNTER", "NULL_GAUGE",
-    "NULL_HISTOGRAM",
-    "Tracer", "NullTracer", "NULL_TRACER",
-    "chrome_trace", "read_chrome", "read_jsonl",
+    "NULL_HISTOGRAM", "percentile",
     "collapsed_stacks", "hotspots", "profile_summary", "read_collapsed",
     "render_hotspots", "write_collapsed",
 ]

@@ -1,34 +1,38 @@
-"""The solver flight recorder: cross-process timelines, heartbeats,
-slow-query capture.
+"""The solver flight recorder: one record stream per process, merged
+into one timeline, plus slow-query capture.
 
-A *flight directory* is the durable record of one batch run: every
-process appends its own streams while the batch flies, and the pool
-merges them into one timeline when (or after — the files are
-append-only JSONL, so a crashed run merges just as well) the batch
+A *flight directory* is the durable record of one batch run or daemon
+life: every process appends its own record stream while the pool
+flies, and the pool merges them into one timeline when (or after — the
+files are append-only JSONL, so a crashed run merges just as well) it
 lands.  Layout::
 
     flight-dir/
-      events-pool.jsonl     pool lifecycle events (spawn/crash/reap/...)
-      events-<wid>.jsonl    per-worker structured events (task.start, ...)
-      spans-<wid>.jsonl     per-worker tracer spans (one task-level span
-                            per job by default; the solver's internal
-                            spans too with ``trace_solver`` — much
-                            slower, debugging only), ts rebased to epoch
-                            and stamped with pid/worker for lane merging
-      heartbeats.jsonl      periodic per-worker vitals, written by the
-                            pool as they arrive on the result channel
+      events-pool.jsonl     the parent's lane: pool lifecycle events
+                            (spawn/crash/reap/...), the daemon's
+                            serving events (daemon.*, client.*, job.*)
+                            and every worker heartbeat
+      events-<wid>.jsonl    one worker's lane: task.start/end, query
+                            and compaction events, and span records
+                            (one task-level span per job; the solver's
+                            internal spans too with ``trace_solver`` —
+                            much slower, debugging only)
       slow/NNNN-<name>.json replayable slow-query artifacts
       timeline.json         the merged Chrome trace (written at the end)
 
-Every stream is line-flushed so a SIGKILLed worker's record survives up
-to its last completed write; :func:`repro.obs.events.read_events`
-tolerates the torn final line such a death leaves behind.
+Every line is one record of :mod:`repro.obs.events` in one envelope
+(``v``/``kind``/``ts``/``pid``/``worker``/``job``), timestamped in
+epoch seconds when it is recorded.  Events and heartbeats are flushed
+per line and span records at every task end, so a SIGKILLed worker's
+lane survives up to its last completed task, with its dangling
+``task.start``; :func:`repro.obs.events.read_events` tolerates the torn
+final line such a death leaves behind.
 
 **Heartbeats.**  Each worker runs a daemon thread that periodically
-ships ``{"type": "heartbeat", ...}`` messages up the existing result
-channel: queue depth (0 or 1 — the pool dispatches depth-one), tasks
-done, the in-flight job, RSS and the ``cache.*`` gauge levels.  The
-pool records them to ``heartbeats.jsonl`` and onto the
+ships a ``heartbeat`` record up the existing result channel: queue
+depth (0 or 1 — the pool dispatches depth-one), tasks done, the
+in-flight job, RSS and the ``cache.*`` levels.  The pool writes each
+one into its own lane and keeps the latest few on the
 :class:`~repro.serve.report.BatchReport`, so a wedged worker is visible
 *while* it hangs (its heartbeats stop, or keep naming the same job),
 not after the batch report lands.
@@ -42,13 +46,13 @@ worker executor that produced it (same budgets, fresh state) and
 reports whether the verdict reproduces; the ``repro replay`` CLI wraps
 that.
 
-**Timeline.**  :func:`merge_timeline` fuses all span and event streams
-into a Chrome ``trace_event`` object with one pid lane per process
-(named via ``process_name`` metadata), structured events as instant
-markers, and heartbeat RSS / cache levels as counter tracks — load it
-in ``chrome://tracing`` or https://ui.perfetto.dev.  ``repro status``
-renders the same data as text: per-worker lanes, p50/p90/p99 job
-latency, top-N slow queries, crash/recycle events.
+**Timeline.**  :func:`merge_timeline` renders every lane through
+:func:`~repro.obs.events.chrome_trace`: one pid lane per process (named
+via ``process_name`` metadata), spans as complete events, events as
+instant markers, and heartbeat RSS / cache levels as counter tracks —
+load it in ``chrome://tracing`` or https://ui.perfetto.dev.  ``repro
+status`` renders the same records as text: per-worker lanes,
+p50/p90/p99 job latency, top-N slow queries, crash/recycle events.
 """
 
 import json
@@ -56,8 +60,8 @@ import os
 import threading
 import time
 
-from repro.obs.events import EventLog, read_events
-from repro.obs.tracing import Tracer, chrome_trace
+from repro.obs.events import Recorder, chrome_trace, read_events
+from repro.obs.metrics import percentile
 
 #: Schema version stamped on slow-query artifacts.
 ARTIFACT_SCHEMA_VERSION = 1
@@ -70,7 +74,6 @@ DEFAULT_SLOW_S = 1.0
 
 POOL_LANE = "pool"
 TIMELINE_NAME = "timeline.json"
-HEARTBEATS_NAME = "heartbeats.jsonl"
 SLOW_DIR = "slow"
 
 
@@ -78,34 +81,21 @@ def events_path(flight_dir, lane):
     return os.path.join(flight_dir, "events-%s.jsonl" % lane)
 
 
-def spans_path(flight_dir, lane):
-    return os.path.join(flight_dir, "spans-%s.jsonl" % lane)
-
-
 def slow_dir(flight_dir):
     return os.path.join(flight_dir, SLOW_DIR)
 
 
-def _lane_of(filename, prefix):
-    base = filename[len(prefix):]
-    return base[:-len(".jsonl")] if base.endswith(".jsonl") else base
-
-
 def list_streams(flight_dir):
-    """``(event_files, span_files)`` as ``{lane: path}`` dicts."""
-    event_files = {}
-    span_files = {}
+    """The lanes' record files as a ``{lane: path}`` dict."""
     try:
         names = sorted(os.listdir(flight_dir))
     except OSError:
-        return event_files, span_files
-    for name in names:
-        path = os.path.join(flight_dir, name)
-        if name.startswith("events-") and name.endswith(".jsonl"):
-            event_files[_lane_of(name, "events-")] = path
-        elif name.startswith("spans-") and name.endswith(".jsonl"):
-            span_files[_lane_of(name, "spans-")] = path
-    return event_files, span_files
+        return {}
+    return {
+        name[len("events-"):-len(".jsonl")]: os.path.join(flight_dir, name)
+        for name in names
+        if name.startswith("events-") and name.endswith(".jsonl")
+    }
 
 
 def list_artifacts(flight_dir):
@@ -118,57 +108,30 @@ def list_artifacts(flight_dir):
     return [os.path.join(root, n) for n in names if n.endswith(".json")]
 
 
-def read_heartbeats(path):
-    """Parse ``heartbeats.jsonl``; tolerates a torn final line."""
-    out = []
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError:
-        return out
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                beat = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(beat, dict):
-                out.append(beat)
-    return out
-
-
 def load_flight(flight_dir):
     """Everything a flight directory holds, parsed.
 
-    Returns ``{"events", "spans", "heartbeats", "artifacts", "lanes"}``
-    where ``events``/``spans`` merge every per-lane stream *stably* by
-    timestamp (ties keep each lane's own file order — per-worker event
-    ordering is part of the contract) and ``lanes`` maps pid to the
-    lane (worker id) that produced it.
+    Returns ``{"records", "events", "spans", "heartbeats", "artifacts",
+    "lanes"}``: ``records`` merges every lane *stably* by timestamp
+    (ties keep each lane's own file order — per-worker record ordering
+    is part of the contract), ``events``/``spans``/``heartbeats`` split
+    it by kind, and ``lanes`` maps pid to the lane (worker id) that
+    produced it.
     """
-    event_files, span_files = list_streams(flight_dir)
-    events = []
-    spans = []
+    records = []
     lanes = {}
-    for lane, path in event_files.items():
-        for event in read_events(path):
-            lanes.setdefault(event.get("pid"), event.get("worker", lane))
-            events.append(event)
-    for lane, path in span_files.items():
-        for event in read_events(path):
-            lanes.setdefault(event.get("pid"), event.get("worker", lane))
-            spans.append(event)
+    for lane, path in list_streams(flight_dir).items():
+        for record in read_events(path):
+            lanes.setdefault(record.get("pid"), record.get("worker", lane))
+            records.append(record)
     lanes.pop(None, None)
-    events.sort(key=lambda e: e.get("ts", 0.0))
-    spans.sort(key=lambda e: e.get("ts", 0.0))
+    records.sort(key=lambda record: record["ts"])
     return {
-        "events": events,
-        "spans": spans,
-        "heartbeats": read_heartbeats(
-            os.path.join(flight_dir, HEARTBEATS_NAME)
-        ),
+        "records": records,
+        "events": [r for r in records
+                   if r["kind"] not in ("span", "heartbeat")],
+        "spans": [r for r in records if r["kind"] == "span"],
+        "heartbeats": [r for r in records if r["kind"] == "heartbeat"],
         "artifacts": list_artifacts(flight_dir),
         "lanes": lanes,
     }
@@ -178,63 +141,11 @@ def load_flight(flight_dir):
 
 
 def merge_timeline(flight_dir):
-    """One Chrome trace over every stream in the flight directory.
-
-    Workers land on their own pid lanes (labelled by worker id via
-    ``process_name`` metadata), structured events become instant
-    markers on their emitter's lane, and heartbeats become ``rss_mb`` /
-    ``cache_entries`` counter tracks.  Timestamps are rebased to the
-    earliest one observed, so the trace starts at zero.
-    """
+    """One Chrome trace over every lane in the flight directory (see
+    :func:`~repro.obs.events.chrome_trace`), each process on its own
+    labelled pid lane, starting at zero."""
     flight = load_flight(flight_dir)
-    stamped = []
-    for event in flight["spans"]:
-        stamped.append(event)
-    for event in flight["events"]:
-        marker = {
-            "name": event.get("kind", "event"),
-            "ts": event.get("ts", 0.0),
-            "dur": 0.0,
-            "depth": 0,
-            "instant": True,
-            "pid": event.get("pid", 0),
-            "args": {
-                k: v for k, v in event.items()
-                if k not in ("kind", "ts", "pid", "v")
-            },
-        }
-        stamped.append(marker)
-    beats = flight["heartbeats"]
-    times = [e["ts"] for e in stamped if "ts" in e]
-    times.extend(b["ts"] for b in beats if "ts" in b)
-    t0 = min(times) if times else 0.0
-    rebased = []
-    for event in stamped:
-        copy = dict(event)
-        copy["ts"] = copy.get("ts", t0) - t0
-        rebased.append(copy)
-    rebased.sort(key=lambda e: e["ts"])
-    trace = chrome_trace(rebased, lanes=flight["lanes"])
-    for beat in beats:
-        pid = beat.get("pid")
-        if pid is None:
-            continue
-        ts = (beat.get("ts", t0) - t0) * 1e6
-        for counter, value in (
-            ("rss_mb", beat.get("rss_bytes", 0) / 1048576.0),
-            ("cache_entries", (beat.get("caches") or {}).get(
-                "entries_total", 0)),
-            ("queue_depth", beat.get("queue_depth", 0)),
-        ):
-            trace["traceEvents"].append({
-                "name": counter,
-                "ph": "C",
-                "ts": ts,
-                "pid": pid,
-                "tid": 0,
-                "args": {counter: value},
-            })
-    return trace
+    return chrome_trace(flight["records"], lanes=flight["lanes"])
 
 
 def write_timeline(flight_dir, path=None):
@@ -251,14 +162,6 @@ def write_timeline(flight_dir, path=None):
 # -- latency + status ---------------------------------------------------------
 
 
-def _percentile(sorted_values, q):
-    """Nearest-rank percentile of an ascending list."""
-    if not sorted_values:
-        return None
-    rank = max(int(-(-q * len(sorted_values) // 1)), 1)
-    return sorted_values[min(rank - 1, len(sorted_values) - 1)]
-
-
 def latency_stats(events):
     """p50/p90/p99 over the ``task.end`` events' elapsed times."""
     laps = sorted(
@@ -269,9 +172,9 @@ def latency_stats(events):
                 "max_s": None}
     return {
         "count": len(laps),
-        "p50_s": _percentile(laps, 0.50),
-        "p90_s": _percentile(laps, 0.90),
-        "p99_s": _percentile(laps, 0.99),
+        "p50_s": percentile(laps, 0.50),
+        "p90_s": percentile(laps, 0.90),
+        "p99_s": percentile(laps, 0.99),
         "max_s": laps[-1],
     }
 
@@ -517,40 +420,31 @@ def replay_artifact(source):
 class WorkerFlight:
     """One worker process's half of the flight recorder.
 
-    Owns the worker's structured :class:`EventLog`, a live
-    :class:`Tracer` whose spans are flushed (epoch-rebased, pid/worker
-    stamped) to ``spans-<wid>.jsonl`` after every task, the heartbeat
-    thread, and slow-query capture.  Everything it writes is
-    line-flushed: a SIGKILL mid-task loses at most the open spans,
-    which the pool's crash event and the dangling ``task.start``
-    already attribute.
+    Owns the worker's :class:`~repro.obs.events.Recorder` — file-backed,
+    keeping nothing in memory — which takes the worker's events and its
+    span records alike, the heartbeat thread, and slow-query capture.
+    A SIGKILL mid-task loses at most that task's span records, which
+    the pool's crash event and the dangling ``task.start`` already
+    attribute.
     """
 
-    def __init__(self, flight_dir, worker_id, config, clock=time.time):
+    def __init__(self, flight_dir, worker_id, config):
         self.flight_dir = str(flight_dir)
         self.worker_id = worker_id
         self.config = config
         os.makedirs(self.flight_dir, exist_ok=True)
         self.pid = os.getpid()
-        self.events = EventLog(
+        self.recorder = Recorder(
             events_path(self.flight_dir, worker_id), worker=worker_id,
             keep=False,
         )
-        self.tracer = Tracer()
-        #: with ``config["trace_solver"]``, the solver stack shares the
-        #: recorder's tracer and every internal span (deriv.tree,
+        #: with ``config["trace_solver"]``, the solver stack's spans go
+        #: to the recorder too and every internal span (deriv.tree,
         #: deriv.meld, ...) lands in the flight.  Off by default: inner-
         #: loop spans cost real time on derivative-heavy queries, and
         #: the recorder's own task-level spans already give the timeline
         #: its lanes at one span per task.
         self.trace_solver = bool(config.get("trace_solver"))
-        #: epoch instant matching the tracer's ts==0, for rebasing
-        self._epoch0 = clock()
-        self._clock = clock
-        self._spans_handle = open(
-            spans_path(self.flight_dir, worker_id), "a", encoding="utf-8"
-        )
-        self._flushed = 0
         self.slow_s = config.get("slow_s")
         self.slow_explored = config.get("slow_explored")
         self.heartbeat_s = config.get("heartbeat_s") or DEFAULT_HEARTBEAT_S
@@ -559,18 +453,17 @@ class WorkerFlight:
         self._thread = None
         self._state = None
         self._result_q = None
-        self._busy_job = None
         self._task_span = None
 
     def observability(self):
         """The bundle the worker's solver stack should carry: this
-        recorder's event log, plus its tracer when solver-internal
-        span tracing was requested (see ``trace_solver`` above)."""
+        recorder for events, and for spans too when solver-internal
+        tracing was requested (see ``trace_solver`` above)."""
         from repro.obs import Observability
 
         return Observability(
-            tracer=self.tracer if self.trace_solver else None,
-            events=self.events,
+            tracer=self.recorder if self.trace_solver else None,
+            events=self.recorder,
         )
 
     # -- heartbeats --------------------------------------------------------
@@ -581,7 +474,7 @@ class WorkerFlight:
         its first task has reported in)."""
         self._state = state
         self._result_q = result_q
-        self.events.emit("worker.start", heartbeat_s=self.heartbeat_s)
+        self.recorder.emit("worker.start", heartbeat_s=self.heartbeat_s)
         self._beat()
         self._thread = threading.Thread(
             target=self._heartbeat_loop,
@@ -591,35 +484,32 @@ class WorkerFlight:
         self._thread.start()
 
     def heartbeat(self):
-        """One heartbeat message (also sent on the wire by the loop)."""
-        beat = {
+        """One heartbeat record (also sent on the wire by the loop; its
+        ``type`` routes it on the result channel)."""
+        vitals = {
             "type": "heartbeat",
-            "worker": self.worker_id,
-            "pid": self.pid,
-            "ts": self._clock(),
-            "queue_depth": 1 if self._busy_job is not None else 0,
-            "job": self._busy_job,
+            "queue_depth": 1 if self.recorder.job is not None else 0,
         }
         state = self._state
         if state is not None:
-            beat["tasks"] = state.tasks_done
+            vitals["tasks"] = state.tasks_done
             try:
                 from repro.serve.worker import rss_bytes
 
-                beat["rss_bytes"] = rss_bytes()
+                vitals["rss_bytes"] = rss_bytes()
             except Exception:  # pragma: no cover - exotic platforms
-                beat["rss_bytes"] = 0
+                vitals["rss_bytes"] = 0
             try:
                 sizes = state.regex_solver.state.cache_sizes()
-                beat["caches"] = {
+                vitals["caches"] = {
                     "entries_total": sizes["entries_total"],
                     "approx_bytes": sizes["approx_bytes"],
                 }
             except Exception:
                 # racing the solver thread mid-rebuild: skip this beat's
                 # cache levels rather than crash the heartbeat thread
-                beat["caches"] = {}
-        return beat
+                vitals["caches"] = {}
+        return self.recorder.record("heartbeat", **vitals)
 
     def _beat(self):
         if self._result_q is None:
@@ -636,9 +526,8 @@ class WorkerFlight:
     # -- per-task hooks ----------------------------------------------------
 
     def task_started(self, task):
-        self._busy_job = task.get("name")
-        self.events.set_job(task.get("name"))
-        self.events.emit(
+        self.recorder.set_job(task.get("name"))
+        self.recorder.emit(
             "task.start", name=task.get("name"),
             task_kind=task.get("kind"), index=task.get("index", 0),
         )
@@ -646,19 +535,19 @@ class WorkerFlight:
         # worker's busy intervals even without solver-internal tracing
         # (a SIGKILL mid-task loses it with the rest of the process —
         # the task.start event above is the durable record)
-        self._task_span = self.tracer.span(
+        self._task_span = self.recorder.span(
             "task:%s" % task.get("name"), kind=task.get("kind"),
         )
         self._task_span.__enter__()
 
     def task_finished(self, task, out):
         """Close the task span, emit ``task.end``, run slow-query
-        capture, flush new spans."""
+        capture; every record of the task is on disk afterwards."""
         span, self._task_span = self._task_span, None
         if span is not None:
             span.__exit__(None, None, None)
         elapsed = out.get("elapsed", 0.0)
-        self.events.emit(
+        self.recorder.emit(
             "task.end", name=task.get("name"), index=task.get("index", 0),
             status=out.get("status", "error"), elapsed=elapsed,
         )
@@ -669,14 +558,12 @@ class WorkerFlight:
                 worker=self.worker_id, pid=self.pid, trigger=trigger,
             )
             self.captured += 1
-            self.events.emit(
+            self.recorder.emit(
                 "slow.capture", name=task.get("name"),
                 artifact=os.path.relpath(path, self.flight_dir),
                 elapsed=elapsed, trigger=trigger,
             )
-        self._busy_job = None
-        self.events.set_job(None)
-        self.flush_spans()
+        self.recorder.set_job(None)
 
     def _slow_trigger(self, out):
         elapsed = out.get("elapsed", 0.0)
@@ -690,96 +577,40 @@ class WorkerFlight:
                 return "explored>=%d" % self.slow_explored
         return None
 
-    # -- span flushing -----------------------------------------------------
-
-    def _write_span(self, event, unfinished=False):
-        copy = dict(event)
-        copy["ts"] = self._epoch0 + event["ts"]
-        copy["pid"] = self.pid
-        copy["worker"] = self.worker_id
-        if unfinished:
-            copy["unfinished"] = True
-        self._spans_handle.write(json.dumps(copy, sort_keys=True,
-                                            default=str))
-        self._spans_handle.write("\n")
-
-    def flush_spans(self, final=False):
-        """Append the tracer's newly finished spans to the span stream;
-        with ``final``, also snapshot still-open spans as
-        ``"unfinished"`` (mirroring ``Tracer.export_events``)."""
-        finished = self.tracer.events
-        new = finished[self._flushed:]
-        self._flushed = len(finished)
-        try:
-            for event in new:
-                self._write_span(event)
-            if final:
-                for event in self.tracer.export_events()[len(finished):]:
-                    self._write_span(event, unfinished=True)
-            self._spans_handle.flush()
-        except (OSError, ValueError):  # pragma: no cover - disk gone
-            pass
-        return len(new)
-
     def close(self, tasks=0, retiring=False, reason=None):
-        """Final flush: stop heartbeats, record ``worker.exit``, drain
-        spans (open ones included) and close every handle."""
+        """Final flush: stop heartbeats, record ``worker.exit`` and
+        close the stream (open spans written as unfinished)."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=1.0)
         self._beat()
-        self.events.emit(
+        self.recorder.emit(
             "worker.exit", tasks=tasks, retiring=bool(retiring),
             reason=reason,
         )
-        self.flush_spans(final=True)
-        try:
-            self._spans_handle.close()
-        except OSError:  # pragma: no cover
-            pass
-        self.events.close()
+        self.recorder.close()
 
 
 # -- the pool-side recorder ---------------------------------------------------
 
 
 class PoolFlight:
-    """The parent process's half: fleet lifecycle events, the heartbeat
-    ledger, and the end-of-batch timeline merge."""
+    """The parent process's half: the pool lane's recorder (fleet and
+    daemon events, relayed heartbeats) and the final timeline merge."""
 
     def __init__(self, flight_dir):
         self.flight_dir = str(flight_dir)
-        os.makedirs(self.flight_dir, exist_ok=True)
         os.makedirs(slow_dir(self.flight_dir), exist_ok=True)
-        self.events = EventLog(
+        self.recorder = Recorder(
             events_path(self.flight_dir, POOL_LANE), worker=POOL_LANE,
             keep=False,
         )
-        self._beats_handle = open(
-            os.path.join(self.flight_dir, HEARTBEATS_NAME), "a",
-            encoding="utf-8",
-        )
-        self.heartbeats = []
-
-    def record_heartbeat(self, beat):
-        self.heartbeats.append(beat)
-        try:
-            self._beats_handle.write(json.dumps(beat, sort_keys=True,
-                                                default=str))
-            self._beats_handle.write("\n")
-            self._beats_handle.flush()
-        except (OSError, ValueError):  # pragma: no cover - disk gone
-            pass
 
     def finish(self, results=0):
-        """Close the streams and write the merged ``timeline.json``;
+        """Close the stream and write the merged ``timeline.json``;
         returns the timeline path (None if merging failed)."""
-        self.events.emit("pool.end", results=results)
-        self.events.close()
-        try:
-            self._beats_handle.close()
-        except OSError:  # pragma: no cover
-            pass
+        self.recorder.emit("pool.end", results=results)
+        self.recorder.close()
         try:
             return write_timeline(self.flight_dir)
         except (OSError, ValueError):  # pragma: no cover - disk gone

@@ -4,7 +4,10 @@ A :class:`MetricsRegistry` is a named tree of metrics.  Instruments are
 created once (``registry.counter("sat_checks")``) and then updated on
 the hot path by direct method calls (``counter.inc()``), so the cost of
 staying on by default is one bound-method call per event — no string
-lookups, no locks (the solver is single-threaded per query).
+lookups, no locks (the solver is single-threaded per query).  Counts
+the solver layers already keep as plain ints are not copied in at all:
+a scope registers a reader (:meth:`MetricsRegistry.read_from`) and
+:meth:`~MetricsRegistry.snapshot` reads them in place.
 
 The null backend (:data:`NULL_METRICS`, :data:`NULL_COUNTER`, ...)
 mirrors the whole API with no-ops so instrumented code needs no
@@ -13,6 +16,17 @@ attribute lookup plus an empty call.
 """
 
 import math
+import weakref
+
+
+def percentile(sorted_values, q):
+    """Nearest-rank q-quantile of an ascending list (None when empty):
+    the smallest value with at least ``q`` of the values at or below
+    it."""
+    if not sorted_values:
+        return None
+    rank = max(math.ceil(q * len(sorted_values)), 1)
+    return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
 class Counter:
@@ -135,6 +149,7 @@ class MetricsRegistry:
         self._prefix = prefix
         self._metrics = {}
         self._children = {}
+        self._reader = None
 
     def _get(self, name, cls):
         metric = self._metrics.get(name)
@@ -164,11 +179,22 @@ class MetricsRegistry:
             self._children[name] = child
         return child
 
+    def read_from(self, reader):
+        """Read this scope's values from ``reader()`` — a bound method
+        returning a ``{name: value}`` dict — whenever a snapshot is
+        taken, replacing any earlier reader.  The layers register their
+        plain-int counters this way, so nothing copies them per query.
+
+        The method is held weakly: the layer already holds the registry,
+        and a strong reference back would put every solver stack in a
+        reference cycle that only the cyclic collector frees."""
+        self._reader = weakref.WeakMethod(reader)
+
     def snapshot(self):
         """Flatten the registry tree into ``{dotted-name: value}``.
 
         Counters and gauges flatten to their value, histograms to their
-        summary dict.
+        summary dict, and the scope's reader to the values it reads.
         """
         out = {}
         for name, metric in self._metrics.items():
@@ -177,6 +203,10 @@ class MetricsRegistry:
                 out[full] = metric.snapshot()
             else:
                 out[full] = metric.value
+        reader = self._reader() if self._reader is not None else None
+        if reader is not None:
+            for name, value in reader().items():
+                out[self._prefix + name] = value
         for child in self._children.values():
             out.update(child.snapshot())
         return out
@@ -271,6 +301,9 @@ class NullMetrics:
 
     def scope(self, name):
         return self
+
+    def read_from(self, reader):
+        pass
 
     def snapshot(self):
         return {}

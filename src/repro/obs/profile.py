@@ -1,8 +1,8 @@
-"""Span-stream attribution: collapsed stacks and self-time hotspots.
+"""Span-record attribution: collapsed stacks and self-time hotspots.
 
-A :class:`~repro.obs.tracing.Tracer` produces a flat list of finished
-spans; this module turns that stream into *attribution* — where the
-traced wall time actually went:
+The span records of a :class:`~repro.obs.events.Recorder` stream (its
+``kind: "span"`` records; events and heartbeats attribute nothing)
+turn into *attribution* — where the traced wall time actually went:
 
 * :func:`build_tree` reconstructs the span forest from completion order
   and depth (children always finish before their parent in a
@@ -21,31 +21,40 @@ duration is distributed over its subtree, so the hotspot table sums to
 100% of traced wall time (gaps inside a span are charged to that
 span's self time — the correct reading for "this phase needs spans
 underneath it").
+
+Every record carries its process's ``pid``.  A stream from one process
+renders as one lane; only a stream merged from several processes gets
+per-pid trees, ``pid:<N>`` stack frames and per-pid hotspot rows.
 """
 
 import json
 
 
 def span_events(events):
-    """The duration-carrying events (instant markers attribute nothing)."""
-    return [e for e in events if not e.get("instant")]
+    """The span records (events and heartbeats attribute nothing)."""
+    return [e for e in events if e.get("kind") == "span"]
+
+
+def _multi_pid(spans):
+    """True when ``spans`` come from more than one process."""
+    return len({e.get("pid") for e in spans}) > 1
 
 
 def build_tree(events):
-    """Reconstruct the span forest from a tracer's event stream.
+    """Reconstruct the span forest from a record stream.
 
-    Events arrive in completion order with their nesting ``depth``; in a
-    single-threaded trace an event at depth ``d`` is the parent of every
-    not-yet-claimed completed event at depth ``d+1``.  Returns a list of
+    Span records arrive in completion order with their nesting
+    ``depth``; in a single-threaded trace a span at depth ``d`` is the
+    parent of every not-yet-claimed completed span at depth ``d+1``.  Returns a list of
     root nodes ``{"event": e, "children": [...]}``; orphans whose parent
     never finished (and was not flushed) are promoted to roots so their
     time is still attributed.
 
     A *merged* multi-worker stream interleaves several independent
-    single-threaded traces; events carrying a ``"pid"`` key are grouped
-    by it and each process's forest is reconstructed separately
-    (completion-order parenting across pids would adopt one worker's
-    spans into another's tree and corrupt every self time downstream).
+    single-threaded traces; spans are grouped by ``pid`` and each
+    process's forest is reconstructed separately (completion-order
+    parenting across pids would adopt one worker's spans into another's
+    tree and corrupt every self time downstream).
     """
     by_pid = {}
     lanes = []
@@ -104,16 +113,16 @@ def _frame(name):
     return str(name).replace(";", ":").replace(" ", "_") or "(anonymous)"
 
 
-def _root_path(node):
-    """A root node's stack path; a pid-carrying root gets a synthetic
-    ``pid:<N>`` lane frame so merged multi-worker flamegraphs keep each
-    worker's stacks separate instead of folding them together."""
+def _root_path(node, lanes):
+    """A root node's stack path; with ``lanes`` (a multi-process
+    stream) it gets a synthetic ``pid:<N>`` lane frame so merged
+    flamegraphs keep each worker's stacks separate instead of folding
+    them together."""
     event = node["event"]
     frame = (_frame(event["name"]),)
-    pid = event.get("pid")
-    if pid is None:
+    if not lanes:
         return frame
-    return ("pid:%s" % pid,) + frame
+    return ("pid:%s" % event.get("pid"),) + frame
 
 
 def collapsed_stacks(events, scale=1e6):
@@ -126,7 +135,9 @@ def collapsed_stacks(events, scale=1e6):
     whose rounded self time is zero are dropped.
     """
     weights = {}
-    stack = [(node, _root_path(node)) for node in reversed(build_tree(events))]
+    lanes = _multi_pid(span_events(events))
+    stack = [(node, _root_path(node, lanes))
+             for node in reversed(build_tree(events))]
     while stack:
         node, path = stack.pop()
         weights[path] = weights.get(path, 0.0) + self_time(node)
@@ -178,18 +189,19 @@ def hotspots(events, k=10):
     traced wall time; the shares of *all* spans (not just the returned
     top-k) sum to 100 by construction.
 
-    Spans carrying a ``"pid"`` aggregate per ``(name, pid)`` and their
-    rows carry the pid — in a merged multi-worker stream one hot span
-    name is otherwise indistinguishable from N workers each mildly warm,
-    and a per-worker row is what localizes a single wedged process.
+    In a stream merged from several processes spans aggregate per
+    ``(name, pid)`` and the rows carry the pid — one hot span name is
+    otherwise indistinguishable from N workers each mildly warm, and a
+    per-worker row is what localizes a single wedged process.
     """
     totals = {}
     wall = 0.0
+    lanes = _multi_pid(span_events(events))
     for node in iter_nodes(build_tree(events)):
         event = node["event"]
         if event["depth"] == 0:
             wall += event["dur"]
-        key = (event["name"], event.get("pid"))
+        key = (event["name"], event.get("pid") if lanes else None)
         cell = totals.setdefault(key, [0.0, 0])
         cell[0] += self_time(node)
         cell[1] += 1

@@ -60,6 +60,7 @@ import threading
 import time
 from collections import deque
 
+from repro.obs.metrics import percentile
 from repro.serve.admission import AdmissionController
 from repro.serve.pool import WorkerPool
 
@@ -78,14 +79,6 @@ LATENCY_WINDOW = 4096
 #: anyway (never *dropping* them silently — anything unfinished is
 #: reported in the stop log).
 DRAIN_GRACE_S = 30.0
-
-
-def _quantile(sorted_values, q):
-    """The q-quantile of an ascending list (nearest-rank)."""
-    if not sorted_values:
-        return None
-    idx = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[idx]
 
 
 class _Client:
@@ -122,11 +115,13 @@ class SolverDaemon:
     """The serving front end.  ``path`` selects a Unix socket;
     ``host``/``port`` a TCP one (port 0 binds ephemerally — read
     :attr:`address` after :meth:`start`).  All solver/pool knobs are
-    forwarded to the persistent :class:`WorkerPool`."""
+    forwarded to the persistent :class:`WorkerPool`; with its
+    ``flight_dir`` the daemon's own events (``daemon.*``, ``client.*``,
+    ``job.*``) go into the pool's lane of the flight."""
 
     def __init__(self, path=None, host=None, port=None, workers=2,
-                 admission=None, obs=None, allow_crash=False,
-                 allow_shutdown=True, **pool_kwargs):
+                 admission=None, allow_crash=False, allow_shutdown=True,
+                 **pool_kwargs):
         if path is None and host is None:
             raise ValueError("need a unix socket path or a TCP host")
         self.path = str(path) if path is not None else None
@@ -135,19 +130,6 @@ class SolverDaemon:
         self.admission = admission or AdmissionController()
         self.allow_crash = bool(allow_crash)
         self.allow_shutdown = bool(allow_shutdown)
-        if obs is None:
-            from repro.obs import Observability
-
-            obs = Observability()
-        self.obs = obs
-        scope = obs.metrics.scope("serve")
-        self._c_accepted = scope.counter("accepted")
-        self._c_degraded = scope.counter("degraded")
-        self._c_rejected = scope.counter("rejected")
-        self._c_results = scope.counter("results")
-        self._c_dropped = scope.counter("dropped")
-        self._g_depth = scope.gauge("queue_depth")
-        self._h_latency = obs.metrics.histogram("serve.latency_s")
         self.pool = WorkerPool(workers=workers, **pool_kwargs)
         self._sock = None
         self.address = None
@@ -195,7 +177,7 @@ class SolverDaemon:
         self._sock.settimeout(0.2)
         self.pool.start()
         self._started_at = time.monotonic()
-        self.obs.events.emit("daemon.start", address=str(self.address))
+        self.pool.recorder.emit("daemon.start", address=str(self.address))
         self._pool_thread = threading.Thread(
             target=self._pool_loop, name="repro-daemon-pool", daemon=True,
         )
@@ -238,7 +220,6 @@ class SolverDaemon:
                 client.sock.close()
             except OSError:
                 pass
-        self.obs.events.emit("daemon.stop", served=self._served)
 
     def __enter__(self):
         self.start()
@@ -261,7 +242,7 @@ class SolverDaemon:
             client = _Client("c%d" % next(self._client_ids), conn)
             with self._clients_lock:
                 self._clients[client.id] = client
-            self.obs.events.emit("client.connect", client=client.id)
+            self.pool.recorder.emit("client.connect", client=client.id)
             reader = threading.Thread(
                 target=self._reader_loop, args=(client,),
                 name="repro-daemon-%s" % client.id, daemon=True,
@@ -304,7 +285,7 @@ class SolverDaemon:
         with self._clients_lock:
             self._clients.pop(client.id, None)
         self.admission.forget(client.id)
-        self.obs.events.emit("client.disconnect", client=client.id)
+        self.pool.recorder.emit("client.disconnect", client=client.id)
 
     def _handle_line(self, client, line):
         """Process one protocol line; returns False to end the
@@ -387,8 +368,7 @@ class SolverDaemon:
             self.pool.workers,
         )
         if not verdict.accepted:
-            self._c_rejected.inc()
-            self.obs.events.emit(
+            self.pool.recorder.emit(
                 "job.reject", client=client.id, reason=verdict.reason,
             )
             client.send({
@@ -397,12 +377,8 @@ class SolverDaemon:
                 "retry_after_s": verdict.retry_after_s,
             })
             return
-        if verdict.degraded:
-            self._c_degraded.inc()
-        else:
-            self._c_accepted.inc()
         client.inflight.add(job_id)
-        self.obs.events.emit(
+        self.pool.recorder.emit(
             "job.accept", client=client.id, job=job_id,
             degraded=verdict.degraded,
         )
@@ -429,7 +405,6 @@ class SolverDaemon:
                 self._deliver(pool.take_completed())
                 stopping = self._stop.is_set()
                 self._drain_inbox()
-                self._g_depth.set(pool.backlog)
                 if stopping:
                     if pool.backlog == 0 or pool.broken:
                         break
@@ -449,6 +424,7 @@ class SolverDaemon:
                     "reason": "daemon stopped before this job finished",
                 })
             self._tickets.clear()
+            pool.recorder.emit("daemon.stop", served=self._served)
             try:
                 pool.stop()  # saves the warm store
             except Exception:
@@ -480,9 +456,7 @@ class SolverDaemon:
             self.admission.observe(result.elapsed)
             with self._latencies_lock:
                 self._latencies.append(latency)
-            self._h_latency.observe(latency)
             self._served += 1
-            self._c_results.inc()
             stats = result.stats or {}
             self._store_hits += stats.get("store_hits") or 0
             self._store_misses += stats.get("store_misses") or 0
@@ -505,13 +479,12 @@ class SolverDaemon:
             # the client is gone: the job ran to completion (workers
             # are oblivious to connections), only the delivery drops
             self._dropped += 1
-            self._c_dropped.inc()
-            self.obs.events.emit(
+            self.pool.recorder.emit(
                 "job.drop", client=ticket["client"], job=ticket["id"],
             )
             return
         if status is not None:
-            self.obs.events.emit(
+            self.pool.recorder.emit(
                 "job.result", client=ticket["client"], job=ticket["id"],
                 status=status, latency_s=latency,
             )
@@ -537,9 +510,9 @@ class SolverDaemon:
             "workers": self.pool.workers,
             "latency": {
                 "window": len(window),
-                "p50_s": _quantile(window, 0.50),
-                "p90_s": _quantile(window, 0.90),
-                "p99_s": _quantile(window, 0.99),
+                "p50_s": percentile(window, 0.50),
+                "p90_s": percentile(window, 0.90),
+                "p99_s": percentile(window, 0.99),
             },
             "admission": self.admission.snapshot(),
             "store": {

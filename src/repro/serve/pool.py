@@ -43,6 +43,7 @@ import time
 from collections import deque
 from multiprocessing import get_all_start_methods, get_context
 
+from repro.obs.events import NULL_RECORDER
 from repro.serve.report import BatchReport, TaskResult
 from repro.serve.worker import worker_main
 
@@ -137,15 +138,15 @@ class WorkerPool:
     recycled``); ``compact_entries`` arms in-worker cache compaction.
     A recycled worker merely restarts with cold caches.
 
-    ``flight_dir`` arms the flight recorder: per-process event/span
-    streams, worker heartbeats (``heartbeat_s`` between beats) and
-    slow-query artifacts for tasks past ``slow_s`` seconds or
-    ``slow_explored`` explored states land under that directory, plus
-    a merged ``timeline.json`` at batch end (see
-    :mod:`repro.obs.flight`).  The recorder keeps one task-level span
-    per job; ``trace_solver`` additionally streams the solver's
-    internal spans into the flight (markedly slower on derivative-heavy
-    queries — a debugging mode, not a default).
+    ``flight_dir`` arms the flight recorder: one record stream per
+    process (events, spans, and the worker heartbeats — ``heartbeat_s``
+    between beats — in the pool's lane) and slow-query artifacts for
+    tasks past ``slow_s`` seconds or ``slow_explored`` explored states
+    land under that directory, plus a merged ``timeline.json`` when the
+    pool stops (see :mod:`repro.obs.flight`).  The recorder keeps one
+    task-level span per job; ``trace_solver`` additionally streams the
+    solver's internal spans into the flight (markedly slower on
+    derivative-heavy queries — a debugging mode, not a default).
 
     ``explain`` turns on verdict provenance in every worker: each
     concrete pattern/smt2 verdict carries a certificate that the
@@ -230,10 +231,9 @@ class WorkerPool:
             daemon=True,
         )
         proc.start()
-        if self._flight is not None:
-            self._flight.events.emit(
-                "worker.spawn", spawned=worker_id, spawned_pid=proc.pid,
-            )
+        self.recorder.emit(
+            "worker.spawn", spawned=worker_id, spawned_pid=proc.pid,
+        )
         return _Worker(worker_id, proc, task_q, result_q)
 
     def _discard(self, worker):
@@ -274,7 +274,7 @@ class WorkerPool:
             from repro.obs.flight import PoolFlight
 
             self._flight = PoolFlight(self.flight_dir)
-            self._flight.events.emit(
+            self.recorder.emit(
                 "pool.start", jobs=jobs, workers=self.workers,
             )
         size = self.workers
@@ -306,6 +306,14 @@ class WorkerPool:
     def backlog(self):
         """Queued plus in-flight: everything accepted but unfinished."""
         return self.queued + self.inflight
+
+    @property
+    def recorder(self):
+        """The pool lane's :class:`~repro.obs.events.Recorder` while a
+        flight is recording, else the null recorder.  The daemon's
+        threads emit into it too."""
+        flight = self._flight
+        return flight.recorder if flight is not None else NULL_RECORDER
 
     def worker_pids(self):
         """PIDs of the current fleet (diagnostics and the shutdown
@@ -559,8 +567,7 @@ class WorkerPool:
                 self.progress(len(state["results"]), None)
         elif kind == "heartbeat":
             state["heartbeats"].append(msg)
-            if self._flight is not None:
-                self._flight.record_heartbeat(msg)
+            self.recorder.write(msg)
         elif kind == "stats":
             state["worker_metrics"].append(msg.get("metrics") or {})
             report = {
@@ -585,11 +592,10 @@ class WorkerPool:
                 # shutdown barrier must not count this snapshot
                 worker.retiring = True
                 state["recycled"] += 1
-                if self._flight is not None:
-                    self._flight.events.emit(
-                        "worker.recycle", recycled=worker.id,
-                        reason=msg.get("reason"),
-                    )
+                self.recorder.emit(
+                    "worker.recycle", recycled=worker.id,
+                    reason=msg.get("reason"),
+                )
             else:
                 state["stats_seen"] += 1
 
@@ -605,15 +611,14 @@ class WorkerPool:
             if alive:
                 return None
             self._discard(worker)
-            if self._flight is not None and not worker.retiring:
-                self._flight.events.emit(
-                    "worker.crash", crashed=worker.id, name=None,
-                    exitcode=worker.proc.exitcode, idle=True,
-                )
             if worker.retiring:
                 # planned retirement, stats already merged: replace it
                 # directly instead of counting an idle death
                 return self._spawn()
+            self.recorder.emit(
+                "worker.crash", crashed=worker.id, name=None,
+                exitcode=worker.proc.exitcode, idle=True,
+            )
             return worker  # idle death: caller counts and respawns
         now = time.monotonic()
         if alive and (worker.deadline is None or now < worker.deadline):
@@ -624,11 +629,10 @@ class WorkerPool:
             worker.proc.join(timeout=5.0)
             self._pump(worker, state)
             task = worker.task
-            if self._flight is not None:
-                self._flight.events.emit(
-                    "worker.reap", reaped=worker.id,
-                    name=task["name"] if task else None,
-                )
+            self.recorder.emit(
+                "worker.reap", reaped=worker.id,
+                name=task["name"] if task else None,
+            )
             if task is not None and task["index"] not in state["results"]:
                 budget = self._config.get("seconds")
                 state["results"][task["index"]] = TaskResult(
@@ -650,12 +654,11 @@ class WorkerPool:
             # crashed mid-task: maybe its result is already in the pipe
             self._pump(worker, state)
             task = worker.task
-            if self._flight is not None:
-                self._flight.events.emit(
-                    "worker.crash", crashed=worker.id,
-                    name=task["name"] if task else None,
-                    exitcode=worker.proc.exitcode,
-                )
+            self.recorder.emit(
+                "worker.crash", crashed=worker.id,
+                name=task["name"] if task else None,
+                exitcode=worker.proc.exitcode,
+            )
             if task is not None and task["index"] not in state["results"]:
                 if worker.retiring:
                     # the dispatch raced a planned retirement: the task
@@ -666,11 +669,10 @@ class WorkerPool:
                     task["attempts"] += 1
                     state["retries"] += 1
                     self._pending.appendleft(task)
-                    if self._flight is not None:
-                        self._flight.events.emit(
-                            "task.retry", name=task["name"],
-                            index=task["index"],
-                        )
+                    self.recorder.emit(
+                        "task.retry", name=task["name"],
+                        index=task["index"],
+                    )
                 else:
                     state["results"][task["index"]] = TaskResult(
                         task["index"], task["name"], "error",

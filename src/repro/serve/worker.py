@@ -69,9 +69,9 @@ class WorkerState:
         )
         self.config = config
         self.builder = RegexBuilder(algebra)
-        # flight-recorded workers pass the recorder's bundle (live
-        # tracer + event log) so solver-layer spans/events land in the
-        # flight directory
+        # flight-recorded workers pass the recorder's bundle so
+        # solver-layer events (and spans, with trace_solver) land in
+        # the flight directory
         self.obs = obs if obs is not None else Observability()
         # the warm store: every worker loads the shared snapshot on
         # spawn — including replacements for recycled workers, which is
@@ -257,10 +257,11 @@ def worker_main(worker_id, task_q, result_q, config):
     merges its metrics and replaces it without charging a crash.
 
     With ``config["flight_dir"]`` set, the worker carries a
-    :class:`~repro.obs.flight.WorkerFlight`: its solver stack records
-    spans and structured events into the flight directory, a heartbeat
-    thread ships vitals up ``result_q``, and slow tasks freeze
-    replayable artifacts (see :mod:`repro.obs.flight`)."""
+    :class:`~repro.obs.flight.WorkerFlight`: its solver stack writes
+    events (and spans) into the worker's record stream in the flight
+    directory, a heartbeat thread ships heartbeat records up
+    ``result_q``, and slow tasks freeze replayable artifacts (see
+    :mod:`repro.obs.flight`)."""
     flight = None
     flight_dir = config.get("flight_dir")
     if flight_dir:

@@ -52,7 +52,7 @@ class _BaselineObsMixin:
 
     def is_satisfiable(self, regex, budget=None):
         """Satisfiability of one ERE; a query boundary for the engine
-        state (gauges published, compaction policy applied).
+        state (compaction policy applied).
 
         Constructs a baseline cannot soundly handle (zero-width
         assertions above all) answer a typed unknown here, uniformly

@@ -73,8 +73,9 @@ class RegexSolver:
         self._h_query_states = scope.histogram("query_states")
         self._tracer = self.obs.tracer
         #: states popped across all queries (plain int on the hot path;
-        #: published to the registry by _sync_registry per query)
+        #: the registry reads it in place as ``solver.explored``)
         self._explored_n = 0
+        scope.read_from(self._counters)
         #: the cross-query compiled-fragment store (repro.solver.store)
         self.store = None
         #: node -> full transition rows instantiated from the store;
@@ -99,17 +100,8 @@ class RegexSolver:
         if store is not None:
             self.attach_store(store)
 
-    def _sync_registry(self):
-        """Push the plain-int hot-path counters of every layer into the
-        metrics registry — called once per query, so ``obs.metrics.
-        snapshot()`` is consistent at query boundaries."""
-        metrics = self.obs.metrics
-        if not metrics.enabled:
-            return
-        metrics.scope("solver").counter("explored").value = self._explored_n
-        self.engine.sync_metrics()
-        self.graph.sync_metrics()
-        self.algebra.sync_metrics()
+    def _counters(self):
+        return {"explored": self._explored_n}
 
     # -- the warm store -------------------------------------------------------
 
@@ -203,9 +195,9 @@ class RegexSolver:
         """Is ``L(regex)`` nonempty?  Returns a result with a witness
         string when satisfiable.
 
-        A query boundary: afterwards the engine state publishes its
-        cache gauges and, when a compaction policy is armed, compacts
-        everything unreachable from ``regex`` (and any pins).
+        A query boundary: afterwards, when a compaction policy is armed,
+        the engine state compacts everything unreachable from ``regex``
+        (and any pins).
         """
         events = self.obs.events
         if not events.enabled:
@@ -267,7 +259,7 @@ class RegexSolver:
                 self._capture_fragment(regex)
 
     def _answer(self, regex, budget, mark, recorder):
-        # exceptions propagate *through* the span so the tracer records
+        # exceptions propagate *through* the span so the recorder writes
         # args["error"] (= "BudgetExceeded", "RecursionError", ...) on it
         try:
             with self._tracer.span("solver.explore", strategy=self.strategy):
@@ -533,7 +525,6 @@ class RegexSolver:
         graph_then = mark["graph"]
         explored = self._explored_n - mark["explored"]
         self._h_query_states.observe(explored)
-        self._sync_registry()
         lifetime = dict(graph_now)
         lifetime.update({
             "queries": self._c_queries.value,

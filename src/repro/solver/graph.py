@@ -42,17 +42,15 @@ class RegexGraph:
         self._obs = obs if obs is not None else NULL_OBS
         #: bound ``tracer.span`` when tracing is live, else None
         self._span = self._obs.tracer.span if self._obs.tracer.enabled else None
+        self._obs.metrics.scope("graph").read_from(self._counters)
 
-    def sync_metrics(self):
-        """Publish the graph's structural counters into the ``graph``
-        scope of the metrics registry (no-op when metrics are off)."""
-        metrics = self._obs.metrics
-        if not metrics.enabled:
-            return
-        scope = metrics.scope("graph")
-        scope.counter("updates").value = len(self._closed)
-        scope.counter("edges").value = self.edges_added
-        scope.counter("dead_marked").value = len(self._dead)
+    def _counters(self):
+        """The ``graph`` scope's values, read at snapshot time."""
+        return {
+            "updates": len(self._closed),
+            "edges": self.edges_added,
+            "dead_marked": len(self._dead),
+        }
 
     # -- structure ------------------------------------------------------------
 

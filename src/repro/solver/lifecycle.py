@@ -8,8 +8,8 @@ bound, which a long-lived service cannot afford.  This module makes
 that state a managed resource:
 
 * **Accounting** — :meth:`EngineState.cache_sizes` reports entry counts
-  and approximate bytes per cache, published as ``cache.*`` gauges in
-  the :mod:`repro.obs` metrics registry and surfaced through
+  and approximate bytes per cache, read in place as the ``cache.*``
+  values of the :mod:`repro.obs` metrics registry and surfaced through
   ``SolverStats.caches``, benchmark snapshots and CLI ``--stats``.
 
 * **Compaction** — :meth:`EngineState.compact` runs a mark-and-rebuild
@@ -35,7 +35,7 @@ from repro.obs import Observability
 
 #: Rough *shallow* per-entry heap costs (CPython, 64-bit): object header
 #: plus slots plus the owning table's key/bucket overhead.  These are
-#: deliberately constants — the gauges track growth and trip watermarks;
+#: deliberately constants — the sizes track growth and trip watermarks;
 #: they are not an allocator census.
 _BYTES_PER_REGEX = 220
 _BYTES_PER_TREE = 140
@@ -96,9 +96,9 @@ class EngineState:
         self._root_providers = []
         self._holds = 0
         scope = self.obs.metrics.scope("cache")
-        self._scope = scope
         self._c_compactions = scope.counter("compactions")
         self._c_retired = scope.counter("retired_entries")
+        scope.read_from(self.cache_sizes)
 
     # -- wiring ------------------------------------------------------------
 
@@ -179,27 +179,17 @@ class EngineState:
         sizes["approx_bytes"] = approx
         return sizes
 
-    def publish_gauges(self):
-        """Push the current sizes into the ``cache.*`` gauges; returns
-        the sizes dict."""
-        sizes = self.cache_sizes()
-        if self.obs.metrics.enabled:
-            for key, value in sizes.items():
-                self._scope.gauge(key).set(value)
-        return sizes
-
     # -- lifecycle ---------------------------------------------------------
 
     def end_query(self, keep=()):
-        """Query-boundary hook: publish gauges, then compact if the
-        policy's watermark tripped.  No-op while held."""
-        sizes = self.publish_gauges()
+        """Query-boundary hook: compact if the policy's watermark
+        tripped.  No-op while held or without a policy."""
         if self.held or self.policy is None:
             return None
-        if not self.policy.should_compact(sizes):
+        if not self.policy.should_compact(self.cache_sizes()):
             return None
         report = self.compact(keep=keep)
-        self.policy.note_result(self.publish_gauges(), report["retired"])
+        self.policy.note_result(self.cache_sizes(), report["retired"])
         return report
 
     def compact(self, keep=()):

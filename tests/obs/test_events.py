@@ -1,18 +1,18 @@
-"""The structured event log: envelope stamping, schema validation,
-file round-trips, crash tolerance, and the null backend."""
+"""The record stream's events: envelope stamping, schema validation,
+file round-trips, crash tolerance, and the null recorder."""
 
 import json
 
 import pytest
 
 from repro.obs.events import (
-    EVENT_KINDS, EVENT_SCHEMA_VERSION, NULL_EVENTS, EventLog, NullEventLog,
+    EVENT_KINDS, EVENT_SCHEMA_VERSION, NULL_RECORDER, NullRecorder, Recorder,
     read_events, validate_event,
 )
 
 
 def make_log(**kwargs):
-    """An in-memory log over a deterministic fake clock."""
+    """An in-memory recorder over a deterministic fake clock."""
     t = {"now": 0.0}
 
     def clock():
@@ -21,7 +21,7 @@ def make_log(**kwargs):
 
     kwargs.setdefault("clock", clock)
     kwargs.setdefault("pid", 4242)
-    return EventLog(**kwargs)
+    return Recorder(**kwargs)
 
 
 def test_emit_stamps_the_correlation_envelope():
@@ -59,7 +59,8 @@ def test_every_registered_kind_validates_when_fields_present():
         "results": 4, "spawned": "w1", "crashed": "w1", "reaped": "w1",
         "recycled": "w1", "address": "/tmp/repro.sock", "served": 12,
         "client": "c1", "job": "q1", "degraded": False,
-        "reason": "overloaded", "latency_s": 0.2,
+        "reason": "overloaded", "latency_s": 0.2, "dur": 0.5, "depth": 0,
+        "args": {}, "queue_depth": 0, "rss_bytes": 1, "caches": {},
     }
     for kind, required in EVENT_KINDS.items():
         event = log.emit(kind, **{f: fillers[f] for f in required})
@@ -145,15 +146,32 @@ def test_read_events_skips_non_object_lines(tmp_path):
         read_events(str(path), strict=True)
 
 
+def test_read_events_skips_records_with_mistyped_envelopes(tmp_path):
+    """A record whose ``v`` is not an integer, ``kind`` not a string or
+    ``ts`` not a number is skipped (``strict`` raises instead) — the
+    readers sort and compare these fields."""
+    path = tmp_path / "events.jsonl"
+    good = {"v": 1, "kind": "task.end", "ts": 1.0, "pid": 5, "name": "j",
+            "index": 0, "status": "sat", "elapsed": 0.1}
+    bad = [dict(good, v="1"), dict(good, kind=7), dict(good, ts="late"),
+           dict(good, v=True)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in [good] + bad))
+    assert read_events(str(path)) == [good]
+    with pytest.raises(ValueError):
+        read_events(str(path), strict=True)
+    for record in bad:
+        assert validate_event(record)
+
+
 def test_null_event_log_is_inert(tmp_path):
-    assert NULL_EVENTS.enabled is False
-    assert isinstance(NULL_EVENTS, NullEventLog)
-    assert NULL_EVENTS.emit("task.start", name="x") is None
-    NULL_EVENTS.set_job("x")
-    assert NULL_EVENTS.job is None
-    assert NULL_EVENTS.events == ()
-    with NULL_EVENTS as log:
-        assert log is NULL_EVENTS
+    assert NULL_RECORDER.enabled is False
+    assert isinstance(NULL_RECORDER, NullRecorder)
+    assert NULL_RECORDER.emit("task.start", name="x") is None
+    NULL_RECORDER.set_job("x")
+    assert NULL_RECORDER.job is None
+    assert NULL_RECORDER.events == ()
+    with NULL_RECORDER as log:
+        assert log is NULL_RECORDER
 
 
 def test_observability_bundles_events():

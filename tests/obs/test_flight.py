@@ -1,6 +1,6 @@
 """The flight recorder, process by process: worker-side recording
-(events, span flushing, heartbeats, slow capture), pool-side ledgers,
-the merged timeline, and artifact replay."""
+(events, span records, heartbeats, slow capture), the pool lane, the
+merged timeline, and artifact replay."""
 
 import json
 import os
@@ -11,8 +11,8 @@ from repro.obs.events import EVENT_SCHEMA_VERSION, read_events
 from repro.obs.flight import (
     ARTIFACT_SCHEMA_VERSION, PoolFlight, WorkerFlight, capture_artifact,
     events_path, latency_stats, list_artifacts, list_streams, load_artifact,
-    load_flight, merge_timeline, read_heartbeats, render_status,
-    replay_artifact, spans_path, worker_lanes, write_timeline,
+    load_flight, merge_timeline, render_status, replay_artifact,
+    worker_lanes, write_timeline,
 )
 
 
@@ -48,8 +48,8 @@ def test_worker_flight_narrates_a_task(tmp_path):
     flight.close(tasks=1)
     events = read_events(events_path(str(tmp_path), "w0"))
     kinds = [e["kind"] for e in events]
-    assert kinds == ["task.start", "task.end", "worker.exit"]
-    start, end, _ = events
+    assert kinds == ["task.start", "span", "task.end", "worker.exit"]
+    start, _, end, _ = events
     assert start["job"] == "job-0" and start["task_kind"] == "pattern"
     assert end["status"] == "sat" and end["elapsed"] == 0.01
     assert "job" not in events[-1]  # cleared after the task
@@ -133,18 +133,21 @@ def test_heartbeat_reports_vitals(tmp_path):
 
 
 def test_spans_flush_epoch_rebased_and_stamped(tmp_path):
+    """Span records go into the worker's one stream with the envelope:
+    epoch timestamps when recorded, pid and worker stamps, and spans
+    still open at close written as unfinished."""
     import time
 
     before = time.time()
     flight = make_flight(tmp_path)
-    with flight.tracer.span("solver.explore"):
-        with flight.tracer.span("deriv.tree"):
+    with flight.recorder.span("solver.explore"):
+        with flight.recorder.span("deriv.tree"):
             pass
-    assert flight.flush_spans() == 2
-    open_span = flight.tracer.span("still.open")
+    open_span = flight.recorder.span("still.open")
     open_span.__enter__()
     flight.close(tasks=0)
-    spans = read_events(spans_path(str(tmp_path), "w0"))
+    spans = [e for e in read_events(events_path(str(tmp_path), "w0"))
+             if e["kind"] == "span"]
     by_name = {e["name"]: e for e in spans}
     assert set(by_name) == {"solver.explore", "deriv.tree", "still.open"}
     assert by_name["still.open"]["unfinished"] is True
@@ -163,61 +166,113 @@ def test_task_spans_by_default_solver_spans_opt_in(tmp_path):
     loop spans are too hot for an always-on recorder)."""
     flight = make_flight(tmp_path)
     assert flight.observability().tracer.enabled is False
-    assert flight.observability().events.enabled is True
+    assert flight.observability().events is flight.recorder
     task = pattern_task(name="spanned")
     flight.task_started(task)
     flight.task_finished(task, {"status": "sat", "elapsed": 0.01})
     flight.close(tasks=1)
-    spans = read_events(spans_path(str(tmp_path), "w0"))
+    spans = [e for e in read_events(events_path(str(tmp_path), "w0"))
+             if e["kind"] == "span"]
     assert [e["name"] for e in spans] == ["task:spanned"]
     assert spans[0]["args"]["kind"] == "pattern"
+    assert spans[0]["job"] == "spanned"
 
     traced = WorkerFlight(
         str(tmp_path / "full"), "w1",
         {"slow_s": None, "heartbeat_s": 60.0, "trace_solver": True},
     )
-    assert traced.observability().tracer is traced.tracer
+    assert traced.observability().tracer is traced.recorder
     traced.close(tasks=0)
 
 
 def test_flush_spans_is_incremental(tmp_path):
+    """Each task's span records are on disk once the task finishes,
+    before the worker closes its stream."""
     flight = make_flight(tmp_path)
-    with flight.tracer.span("one"):
-        pass
-    assert flight.flush_spans() == 1
-    assert flight.flush_spans() == 0  # nothing new
-    with flight.tracer.span("two"):
-        pass
-    assert flight.flush_spans() == 1
-    flight.close(tasks=0)
-    assert len(read_events(spans_path(str(tmp_path), "w0"))) == 2
+    path = events_path(str(tmp_path), "w0")
+    for count, name in enumerate(("one", "two"), 1):
+        task = pattern_task(name=name, index=count)
+        flight.task_started(task)
+        flight.task_finished(task, {"status": "sat", "elapsed": 0.01})
+        spans = [e for e in read_events(path) if e["kind"] == "span"]
+        assert [e["name"] for e in spans][-1] == "task:%s" % name
+        assert len(spans) == count
+    flight.close(tasks=2)
+
+
+def test_worker_recorder_keeps_nothing_in_memory(tmp_path):
+    """Regression: a flight-recorded worker writes its span and event
+    records to its stream and keeps none of them, with and without
+    solver-internal spans; the pool keeps no heartbeat list of its own
+    (the report's capped deque is the only in-memory copy)."""
+    from repro.serve.worker import WorkerState, execute_task
+
+    for trace_solver in (False, True):
+        root = tmp_path / ("traced" if trace_solver else "plain")
+        flight = make_flight(root, fuel=100000, seconds=5.0,
+                             trace_solver=trace_solver)
+        state = WorkerState(flight.config, obs=flight.observability())
+        for index in range(200):
+            task = pattern_task(name="t%d" % index, index=index,
+                                payload="(a|b)*a(a|b){3}&~(.*bb.*)")
+            flight.task_started(task)
+            flight.task_finished(task, execute_task(state, task))
+        assert flight.recorder.events is None
+        assert flight.recorder._open == []
+        flight.close(tasks=200)
+        spans = [e for e in read_events(events_path(str(root), "w0"))
+                 if e["kind"] == "span"]
+        assert len(spans) >= 200
+        if trace_solver:
+            assert len(spans) > 200
+    pool = PoolFlight(str(tmp_path / "pool"))
+    for beat in range(50):
+        pool.recorder.write(pool.recorder.record("heartbeat", queue_depth=0))
+    assert pool.recorder.events is None
+    assert not [name for name, value in vars(pool).items()
+                if isinstance(value, (list, tuple)) and value]
+    pool.finish(results=0)
 
 
 # -- pool-side recording ------------------------------------------------------
 
 
+def heartbeat_record(**fields):
+    record = {"v": 1, "kind": "heartbeat", "type": "heartbeat",
+              "worker": "w0", "pid": 7, "ts": 100.0, "queue_depth": 0,
+              "tasks": 0, "rss_bytes": 1048576, "caches": {}}
+    record.update(fields)
+    return record
+
+
 def test_pool_flight_ledger_and_timeline(tmp_path):
+    """The pool's lane is the heartbeat ledger: relayed heartbeat
+    records keep the worker's pid and worker id."""
     pool = PoolFlight(str(tmp_path))
-    pool.events.emit("pool.start", jobs=2, workers=1)
-    pool.record_heartbeat({"type": "heartbeat", "worker": "w0", "pid": 7,
-                           "ts": 100.0, "queue_depth": 0, "job": None,
-                           "rss_bytes": 1048576, "caches": {}})
+    pool.recorder.emit("pool.start", jobs=2, workers=1)
+    pool.recorder.write(heartbeat_record())
     timeline = pool.finish(results=2)
     assert timeline == os.path.join(str(tmp_path), "timeline.json")
     assert os.path.exists(timeline)
-    beats = read_heartbeats(os.path.join(str(tmp_path), "heartbeats.jsonl"))
-    assert len(beats) == 1 and beats[0]["worker"] == "w0"
-    events = read_events(events_path(str(tmp_path), "pool"))
-    assert [e["kind"] for e in events] == ["pool.start", "pool.end"]
-    assert all(e["worker"] == "pool" for e in events)
+    assert sorted(os.listdir(str(tmp_path))) == [
+        "events-pool.jsonl", "slow", "timeline.json",
+    ]
+    records = read_events(events_path(str(tmp_path), "pool"))
+    assert [e["kind"] for e in records] == [
+        "pool.start", "heartbeat", "pool.end",
+    ]
+    beat = records[1]
+    assert beat["worker"] == "w0" and beat["pid"] == 7
+    assert all(e["worker"] == "pool" for e in records if e is not beat)
+    assert load_flight(str(tmp_path))["heartbeats"] == [beat]
 
 
-def test_read_heartbeats_tolerates_torn_line(tmp_path):
-    path = tmp_path / "heartbeats.jsonl"
-    whole = json.dumps({"worker": "w0", "ts": 1.0})
-    path.write_text(whole + "\n" + whole[:5])
-    assert len(read_heartbeats(str(path))) == 1
-    assert read_heartbeats(str(tmp_path / "missing.jsonl")) == []
+def test_torn_heartbeat_record_is_skipped(tmp_path):
+    path = events_path(str(tmp_path), "pool")
+    whole = json.dumps(heartbeat_record(ts=1.0))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(whole + "\n" + whole[:5])
+    assert len(load_flight(str(tmp_path))["heartbeats"]) == 1
 
 
 # -- the merged flight --------------------------------------------------------
@@ -229,10 +284,13 @@ def synthetic_flight(tmp_path):
     root = str(tmp_path)
     os.makedirs(root, exist_ok=True)
 
-    def write(path, rows):
-        with open(path, "w", encoding="utf-8") as handle:
+    def write(path, rows, mode="w"):
+        with open(path, mode, encoding="utf-8") as handle:
             for row in rows:
                 handle.write(json.dumps(row) + "\n")
+
+    def append(path, rows):
+        write(path, rows, mode="a")
 
     write(events_path(root, "w0"), [
         {"v": 1, "kind": "task.start", "ts": 10.0, "pid": 100,
@@ -255,33 +313,35 @@ def synthetic_flight(tmp_path):
          "worker": "pool", "crashed": "w1", "name": "j1"},
     ])
     # concurrent spans: w0's solve overlaps w1's solve in wall time
-    write(spans_path(root, "w0"), [
-        {"name": "solver.explore", "ts": 10.5, "dur": 3.0, "depth": 0,
-         "args": {}, "pid": 100, "worker": "w0"},
-        {"name": "deriv.tree", "ts": 11.0, "dur": 1.0, "depth": 1,
-         "args": {}, "pid": 100, "worker": "w0"},
+    append(events_path(root, "w0"), [
+        {"v": 1, "kind": "span", "name": "solver.explore", "ts": 10.5,
+         "dur": 3.0, "depth": 0, "args": {}, "pid": 100, "worker": "w0"},
+        {"v": 1, "kind": "span", "name": "deriv.tree", "ts": 11.0,
+         "dur": 1.0, "depth": 1, "args": {}, "pid": 100, "worker": "w0"},
     ])
-    write(spans_path(root, "w1"), [
-        {"name": "solver.explore", "ts": 11.2, "dur": 0.5, "depth": 0,
-         "args": {}, "pid": 200, "worker": "w1", "unfinished": True},
+    append(events_path(root, "w1"), [
+        {"v": 1, "kind": "span", "name": "solver.explore", "ts": 11.2,
+         "dur": 0.5, "depth": 0, "args": {}, "pid": 200, "worker": "w1",
+         "unfinished": True},
     ])
-    write(os.path.join(root, "heartbeats.jsonl"), [
-        {"type": "heartbeat", "worker": "w0", "pid": 100, "ts": 10.1,
-         "queue_depth": 1, "job": "j0", "rss_bytes": 2 * 1048576,
-         "caches": {"entries_total": 50, "approx_bytes": 1000}},
-        {"type": "heartbeat", "worker": "w1", "pid": 200, "ts": 11.1,
-         "queue_depth": 1, "job": "j1", "rss_bytes": 3 * 1048576,
-         "caches": {"entries_total": 70, "approx_bytes": 2000}},
+    # the pool lane relays the workers' heartbeats
+    append(events_path(root, "pool"), [
+        heartbeat_record(worker="w0", pid=100, ts=10.1, queue_depth=1,
+                         job="j0", rss_bytes=2 * 1048576,
+                         caches={"entries_total": 50, "approx_bytes": 1000}),
+        heartbeat_record(worker="w1", pid=200, ts=11.1, queue_depth=1,
+                         job="j1", rss_bytes=3 * 1048576,
+                         caches={"entries_total": 70, "approx_bytes": 2000}),
     ])
     return root
 
 
 def test_list_streams_finds_all_lanes(tmp_path):
     root = synthetic_flight(tmp_path)
-    event_files, span_files = list_streams(root)
-    assert set(event_files) == {"pool", "w0", "w1"}
-    assert set(span_files) == {"w0", "w1"}
-    assert list_streams(str(tmp_path / "missing")) == ({}, {})
+    streams = list_streams(root)
+    assert set(streams) == {"pool", "w0", "w1"}
+    assert streams["w0"] == events_path(root, "w0")
+    assert list_streams(str(tmp_path / "missing")) == {}
 
 
 def test_load_flight_merges_by_ts_and_maps_lanes(tmp_path):

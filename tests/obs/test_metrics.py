@@ -172,3 +172,36 @@ def test_null_backend_is_inert_and_shared():
     assert NULL_GAUGE.value == 0
     assert NULL_HISTOGRAM.count == 0
     assert NULL_METRICS.snapshot() == {}
+
+
+def test_read_from_reads_in_place_and_holds_the_reader_weakly():
+    """A scope's reader is read at every snapshot, and never keeps the
+    layer that registered it alive: a discarded solver stack is freed
+    by reference counting alone, without the cyclic collector."""
+    import gc
+    import weakref
+
+    from repro.alphabet import IntervalAlgebra
+    from repro.regex import RegexBuilder, parse
+    from repro.solver import RegexSolver
+
+    builder = RegexBuilder(IntervalAlgebra(127))
+    solver = RegexSolver(builder)
+    metrics = solver.obs.metrics
+    solver.is_satisfiable(parse(builder, "(a|b)*abb"))
+    explored = metrics.snapshot()["solver.explored"]
+    assert explored == solver._explored_n > 0
+    assert metrics.snapshot()["cache.entries_total"] == (
+        solver.state.cache_sizes()["entries_total"]
+    )
+    probes = [weakref.ref(layer) for layer in
+              (solver, solver.engine, solver.graph, solver.state)]
+    gc.disable()
+    try:
+        del solver
+        assert [probe() for probe in probes] == [None] * len(probes)
+    finally:
+        gc.enable()
+    snapshot = metrics.snapshot()
+    assert "solver.explored" not in snapshot
+    assert snapshot["solver.queries"] == 1

@@ -2,9 +2,11 @@
 stacks (round-trip), hotspot tables — all over a deterministic fake
 clock so durations are exact."""
 
+import os
+
 import pytest
 
-from repro.obs import Tracer
+from repro.obs import Recorder
 from repro.obs.profile import (
     build_tree, collapsed_stacks, hotspots, profile_summary, read_collapsed,
     render_hotspots, self_time, total_wall, write_collapsed,
@@ -18,7 +20,7 @@ def make_tracer():
         t["now"] += 1.0
         return t["now"]
 
-    return Tracer(clock=clock)
+    return Recorder(clock=clock)
 
 
 def traced_solver_shape():
@@ -69,7 +71,7 @@ def test_self_time_partitions_wall_time_exactly():
 def test_instants_are_excluded_from_attribution():
     tracer = make_tracer()
     with tracer.span("a"):
-        tracer.instant("marker")
+        tracer.emit("worker.start")
     assert total_wall(tracer.events) == pytest.approx(2.0)
     (root,) = build_tree(tracer.events)
     assert root["children"] == []
@@ -196,10 +198,10 @@ def merged_two_pid_stream():
     flight merge interleaves them (by timestamp across processes)."""
     def worker(pid, t0):
         return [
-            {"name": "deriv.tree", "ts": t0 + 1.0, "dur": 2.0, "depth": 1,
-             "args": {}, "pid": pid},
-            {"name": "solver.explore", "ts": t0, "dur": 4.0, "depth": 0,
-             "args": {}, "pid": pid},
+            {"v": 1, "kind": "span", "name": "deriv.tree", "ts": t0 + 1.0,
+             "dur": 2.0, "depth": 1, "args": {}, "pid": pid},
+            {"v": 1, "kind": "span", "name": "solver.explore", "ts": t0,
+             "dur": 4.0, "depth": 0, "args": {}, "pid": pid},
         ]
 
     a, b = worker(100, 10.0), worker(200, 10.5)
@@ -247,12 +249,16 @@ def test_collapsed_stacks_get_a_pid_lane_frame():
 
 
 def test_pidless_streams_keep_the_single_lane_shape():
-    """No pid key (the in-process tracer) means no synthetic lane
-    frames and no pid column — the original single-stream behavior."""
+    """A stream from one process (every record carries the same pid,
+    as the in-process recorder writes it) or from none means no
+    synthetic lane frames and no pid column."""
     events = traced_solver_shape()
-    assert all("pid" not in r for r in hotspots(events))
-    assert all(not line.startswith("pid:")
-               for line in collapsed_stacks(events))
+    assert {e["pid"] for e in events} == {os.getpid()}
+    pidless = [{k: v for k, v in e.items() if k != "pid"} for e in events]
+    for stream in (events, pidless):
+        assert all("pid" not in r for r in hotspots(stream))
+        assert all(not line.startswith("pid:")
+                   for line in collapsed_stacks(stream))
 
 
 def test_real_solver_trace_round_trips(tmp_path):

@@ -1,19 +1,31 @@
-"""Span nesting, export round-trips, and the null tracer."""
+"""Span records: nesting, export round-trips, the Chrome view, and the
+null recorder."""
 
 import pytest
 
-from repro.obs import NULL_TRACER, Tracer, chrome_trace, read_chrome, read_jsonl
+from repro.obs import (
+    NULL_OBS, NULL_RECORDER, Recorder, chrome_trace, read_chrome, read_jsonl,
+    validate_event,
+)
 
 
 def make_tracer():
-    """A tracer over a deterministic fake clock (one unit per call)."""
+    """A recorder over a deterministic fake clock (one unit per call)."""
     t = {"now": 0.0}
 
     def clock():
         t["now"] += 1.0
         return t["now"]
 
-    return Tracer(clock=clock)
+    return Recorder(clock=clock, pid=4242)
+
+
+def span(name, ts, dur, **fields):
+    """A hand-written span record."""
+    record = {"v": 1, "kind": "span", "ts": ts, "pid": 4242, "name": name,
+              "dur": dur, "depth": 0, "args": {}}
+    record.update(fields)
+    return record
 
 
 def test_span_records_name_duration_and_args():
@@ -21,6 +33,9 @@ def test_span_records_name_duration_and_args():
     with tracer.span("solver.explore", strategy="dfs"):
         pass
     (event,) = tracer.events
+    assert validate_event(event) == []
+    assert event["kind"] == "span" and event["pid"] == 4242
+    assert event["ts"] == 1.0  # the span's start
     assert event["name"] == "solver.explore"
     assert event["args"] == {"strategy": "dfs"}
     assert event["dur"] == 1.0
@@ -43,11 +58,14 @@ def test_span_nesting_depths():
 
 
 def test_instant_event():
+    """Events share the spans' stream and render as Chrome instants."""
     tracer = make_tracer()
-    tracer.instant("marker", detail=7)
+    tracer.emit("worker.start", detail=7)
     (event,) = tracer.events
-    assert event["instant"] and event["dur"] == 0.0
-    assert event["args"] == {"detail": 7}
+    assert event["kind"] == "worker.start" and "dur" not in event
+    (instant,) = chrome_trace(tracer.events)["traceEvents"]
+    assert instant["ph"] == "i" and instant["name"] == "worker.start"
+    assert instant["args"] == {"detail": 7}
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -65,7 +83,7 @@ def test_chrome_round_trip(tmp_path):
     tracer = make_tracer()
     with tracer.span("solver.explore"):
         pass
-    tracer.instant("mark")
+    tracer.emit("worker.start")
     path = str(tmp_path / "trace.json")
     assert tracer.export(path) == 2  # non-.jsonl extension selects Chrome
     events = read_chrome(path)
@@ -77,29 +95,26 @@ def test_chrome_round_trip(tmp_path):
 
 
 def test_chrome_trace_shape():
-    trace = chrome_trace([
-        {"name": "x", "ts": 0.5, "dur": 0.25, "depth": 0, "args": {}},
-    ])
+    """Epoch timestamps are rebased so the trace starts at zero."""
+    trace = chrome_trace([span("x", 100.5, 0.25), span("y", 100.75, 0.5)])
     assert trace["displayTimeUnit"] == "ms"
-    (event,) = trace["traceEvents"]
-    assert event["ph"] == "X"
-    assert event["ts"] == pytest.approx(0.5e6)
-    assert event["dur"] == pytest.approx(0.25e6)
-    assert event["pid"] == event["tid"] == 0
+    first, second = trace["traceEvents"]
+    assert first["ph"] == second["ph"] == "X"
+    assert first["ts"] == pytest.approx(0.0)
+    assert second["ts"] == pytest.approx(0.25e6)
+    assert first["dur"] == pytest.approx(0.25e6)
+    assert first["pid"] == 4242 and first["tid"] == 0
 
 
 def test_chrome_trace_pid_tid_lanes_and_labels():
     """Events carrying pid/tid land on those lanes, and the ``lanes``
     mapping emits ``process_name`` metadata so chrome://tracing labels
     each process row."""
+    bare = span("bare", 0.6, 0.1)
+    del bare["pid"]
     trace = chrome_trace(
-        [
-            {"name": "a", "ts": 0.0, "dur": 1.0, "depth": 0, "args": {},
-             "pid": 100, "tid": 7},
-            {"name": "b", "ts": 0.5, "dur": 1.0, "depth": 0, "args": {},
-             "pid": 200},
-            {"name": "bare", "ts": 0.6, "dur": 0.1, "depth": 0, "args": {}},
-        ],
+        [span("a", 0.0, 1.0, pid=100, tid=7), span("b", 0.5, 1.0, pid=200),
+         bare],
         lanes={100: "w0", 200: "w1"},
     )
     events = trace["traceEvents"]
@@ -119,10 +134,7 @@ def test_chrome_trace_concurrent_cross_process_spans():
     """Two workers' overlapping spans export to one trace without the
     lanes swallowing each other: same wall-clock window, distinct pids."""
     overlapping = [
-        {"name": "solve", "ts": 0.0, "dur": 2.0, "depth": 0, "args": {},
-         "pid": 100},
-        {"name": "solve", "ts": 1.0, "dur": 2.0, "depth": 0, "args": {},
-         "pid": 200},
+        span("solve", 10.0, 2.0, pid=100), span("solve", 11.0, 2.0, pid=200),
     ]
     events = chrome_trace(overlapping)["traceEvents"]
     spans = [e for e in events if e["ph"] == "X"]
@@ -213,40 +225,34 @@ def test_exporters_include_unfinished_spans(tmp_path):
 
 
 def test_fake_clock_makes_durations_and_order_deterministic():
-    """The ``Tracer._clock`` hook pins every ts/dur: two identically
-    shaped traces are equal event for event, no real time involved."""
+    """The recorder's ``clock`` pins every ts/dur: two identically
+    shaped traces are equal record for record, no real time involved."""
     def run():
         tracer = make_tracer()
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
-            tracer.instant("mark")
+            tracer.emit("worker.start")
         return tracer.events
 
     first, second = run(), run()
     assert first == second
-    # clock ticks: t0=1, outer start=2, inner start=3, inner end=4,
-    # instant=5, outer end=6; events complete innermost first
-    assert [e["name"] for e in first] == ["inner", "mark", "outer"]
+    # clock ticks: outer start=1, inner start=2, inner end=3, event=4,
+    # outer end=5; records are written as they complete
+    assert [e.get("name", e["kind"]) for e in first] == [
+        "inner", "worker.start", "outer",
+    ]
     assert [e["ts"] for e in first] == [2.0, 4.0, 1.0]
-    assert [e["dur"] for e in first] == [1.0, 0.0, 4.0]
-
-
-def test_clear():
-    tracer = make_tracer()
-    with tracer.span("x"):
-        pass
-    tracer.clear()
-    assert tracer.events == []
+    assert [e.get("dur") for e in first] == [1.0, None, 4.0]
 
 
 def test_null_tracer_is_inert():
-    assert NULL_TRACER.enabled is False
-    span = NULL_TRACER.span("anything", k=1)
+    assert NULL_OBS.tracer is NULL_RECORDER
+    assert NULL_RECORDER.enabled is False
+    span = NULL_RECORDER.span("anything", k=1)
     with span:
         pass
-    assert NULL_TRACER.span("other") is span  # shared no-op
-    NULL_TRACER.instant("x")
-    assert NULL_TRACER.events == ()
+    assert NULL_RECORDER.span("other") is span  # shared no-op
+    assert NULL_RECORDER.events == ()
     with pytest.raises(ValueError):
-        NULL_TRACER.export("/tmp/nope.json")
+        NULL_RECORDER.export("/tmp/nope.json")

@@ -111,6 +111,17 @@ class TestServing:
         finally:
             daemon.stop()
 
+    def test_stats_latency_quantiles_are_nearest_rank(self, daemon_path):
+        """Over latencies of 1..100 ms the nearest-rank p50/p90/p99 are
+        50, 90 and 99 ms — not 51 ms and the maximum."""
+        daemon = SolverDaemon(path=daemon_path, workers=1)
+        daemon._latencies.extend(ms / 1000.0 for ms in range(100, 0, -1))
+        latency = daemon.stats()["latency"]
+        assert latency["window"] == 100
+        assert latency["p50_s"] == pytest.approx(0.050)
+        assert latency["p90_s"] == pytest.approx(0.090)
+        assert latency["p99_s"] == pytest.approx(0.099)
+
     def test_slow_client_mid_submission_does_not_stall_others(
             self, daemon_path):
         daemon = start_daemon(daemon_path)

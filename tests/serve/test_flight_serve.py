@@ -8,12 +8,15 @@ dropped to a few milliseconds so even the shortest batch records beats.
 
 import json
 import os
+import threading
 
-from repro.obs.events import read_events
+from repro.obs.events import Recorder, read_events, validate_event
 from repro.obs.flight import (
-    events_path, list_artifacts, load_flight, replay_artifact,
+    events_path, list_artifacts, list_streams, load_flight, replay_artifact,
 )
 from repro.serve import Job, solve_batch
+from repro.serve.client import DaemonClient
+from repro.serve.daemon import SolverDaemon
 
 BUDGET = {"fuel": 200000, "seconds": 5.0}
 
@@ -147,3 +150,100 @@ def test_no_flight_dir_means_no_recording(tmp_path):
     assert report.heartbeats == []
     assert "flight:" not in report.summary_line()
     assert "flight_dir" not in report.to_dict()
+
+
+def lane_records(flight_dir):
+    """``{lane: records}`` for every lane of a flight directory."""
+    return {lane: read_events(path)
+            for lane, path in list_streams(str(flight_dir)).items()}
+
+
+def assert_every_record_validates(flight_dir):
+    lanes = lane_records(flight_dir)
+    assert lanes
+    for lane, records in lanes.items():
+        for record in records:
+            assert validate_event(record) == [], (lane, record)
+    return lanes
+
+
+def test_daemon_flight_records_the_serving(tmp_path):
+    """``SolverDaemon(flight_dir=...)`` writes its own events into the
+    pool lane, ahead of the pool's closing ``pool.end``, and they show
+    in the merged timeline."""
+    flight_dir = tmp_path / "flight"
+    daemon = SolverDaemon(
+        path=str(tmp_path / "daemon.sock"), workers=1,
+        flight_dir=str(flight_dir), heartbeat_s=0.01, **BUDGET
+    )
+    daemon.start()
+    try:
+        with DaemonClient(daemon.address) as client:
+            outcomes = client.solve(
+                [Job("q0", "pattern", "a|b"), Job("q1", "pattern", "a&b")],
+                timeout=60.0,
+            )
+    finally:
+        daemon.stop()
+    assert outcomes["q0"]["status"] == "sat"
+    assert outcomes["q1"]["status"] == "unsat"
+    assert sorted(os.listdir(str(flight_dir))) == [
+        "events-pool.jsonl", "events-w0.jsonl", "slow", "timeline.json",
+    ]
+    lanes = assert_every_record_validates(flight_dir)
+    kinds = [r["kind"] for r in lanes["pool"]]
+    end = kinds.index("pool.end")
+    for kind in ("daemon.start", "client.connect", "job.accept",
+                 "job.result", "daemon.stop"):
+        assert kind in kinds[:end], kind
+    assert kinds[:end].count("job.result") == 2
+    assert "heartbeat" in kinds[:end]
+    with open(str(flight_dir / "timeline.json")) as handle:
+        trace = json.load(handle)
+    instants = {e["name"] for e in trace["traceEvents"] if e.get("ph") == "i"}
+    assert {"daemon.start", "client.connect", "job.accept", "job.result",
+            "daemon.stop"} <= instants
+
+
+def test_batch_flight_records_all_validate(tmp_path):
+    """Every record of a batch flight — events, span records with
+    ``trace_solver``, relayed heartbeats — passes the schema, through a
+    crash and a slow capture."""
+    jobs = [
+        Job("before", "pattern", "a|b"),
+        Job("boom", "crash", "kill"),
+        Job("slow-unsat", "pattern", "(.*a.{4})&(.*b.{4})"),
+    ]
+    report = run_flight(tmp_path, jobs, workers=1, retries=0,
+                        slow_explored=2, trace_solver=True)
+    assert report.counts["error"] == 1
+    assert list_artifacts(str(tmp_path))
+    lanes = assert_every_record_validates(tmp_path)
+    kinds = {r["kind"] for records in lanes.values() for r in records}
+    assert {"span", "heartbeat", "worker.crash", "slow.capture"} <= kinds
+    spans = {r["name"] for records in lanes.values() for r in records
+             if r["kind"] == "span"}
+    assert "solver.explore" in spans and "task:slow-unsat" in spans
+
+
+def test_concurrent_emits_leave_whole_lines(tmp_path):
+    """The daemon's threads share the pool's recorder: 8 threads x 500
+    emits on one file-backed recorder leave 4,000 parseable records."""
+    path = events_path(str(tmp_path), "pool")
+    recorder = Recorder(path, worker="pool", keep=False)
+
+    def emit_many(client):
+        for _ in range(500):
+            recorder.emit("client.connect", client=client)
+
+    threads = [threading.Thread(target=emit_many, args=("c%d" % i,))
+               for i in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    recorder.close()
+    records = read_events(path, strict=True)
+    assert len(records) == 4000
+    assert all(validate_event(r) == [] for r in records)
+    assert {r["client"] for r in records} == {"c%d" % i for i in range(8)}

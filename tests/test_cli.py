@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -232,7 +234,12 @@ def test_batch_flight_dir_records_and_reports(capsys, tmp_path):
     assert "flight: %s" % flight in out
     assert "heartbeats)" in out
     assert (flight / "timeline.json").exists()
-    assert (flight / "heartbeats.jsonl").exists()
+    # one record stream per process: the heartbeats ride the pool lane
+    assert {p.name for p in flight.iterdir()} <= {
+        "events-pool.jsonl", "events-w0.jsonl", "events-w1.jsonl",
+        "slow", "timeline.json",
+    }
+    assert '"kind": "heartbeat"' in (flight / "events-pool.jsonl").read_text()
     assert list((flight / "slow").glob("*.json"))
 
 
@@ -363,6 +370,28 @@ def test_status_torn_event_line_still_renders(capsys, tmp_path):
     status, out = run(capsys, "status", str(torn))
     assert status == 0
     assert out.startswith("flight ")
+
+
+@pytest.mark.parametrize("bad_field", [{"v": "1"}, {"ts": "late"}])
+def test_status_skips_a_mistyped_record_envelope(capsys, tmp_path, bad_field):
+    """A record whose ``v`` is not an integer (or ``ts`` not a number)
+    is skipped by the reader: status renders the rest and exits 0
+    instead of dying on a TypeError."""
+    flight = tmp_path / "mistyped-flight"
+    flight.mkdir()
+    good = {"v": 1, "kind": "task.end", "ts": 1.0, "pid": 5, "worker": "w0",
+            "name": "j", "index": 0, "status": "sat", "elapsed": 0.25}
+    bad = {"v": 1, "kind": "task.end", "ts": 2.0, "pid": 5}
+    bad.update(bad_field)
+    (flight / "events-w0.jsonl").write_text(
+        json.dumps(good) + "\n" + json.dumps(bad) + "\n"
+    )
+    status = main(["status", str(flight)])
+    captured = capsys.readouterr()
+    assert status == 0
+    assert captured.out.startswith("flight ")
+    assert "latency: 1 tasks" in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_replay_missing_path_is_clean_diagnostic(capsys, tmp_path):
