@@ -30,9 +30,7 @@ from repro.regex import RegexBuilder, parse, to_pattern
 from repro.regex.semantics import Matcher, matches
 from repro.derivatives import DerivativeEngine
 from repro.obs import Observability
-from repro.solver import (
-    Budget, RegexSolver, SmtSolver, SolverResult, SolverStats, formula,
-)
+from repro.solver import Budget, RegexSolver, SmtSolver, SolverResult, formula
 from repro.smtlib import parse_script, run_script, script_text
 from repro.matcher import Match, RegexMatcher, compile_pattern
 from repro.analysis import LanguageCounter
@@ -47,7 +45,7 @@ __all__ = [
     "CharSet",
     "RegexBuilder", "parse", "to_pattern", "Matcher", "matches",
     "DerivativeEngine", "RegexSolver", "SmtSolver", "Budget",
-    "SolverResult", "SolverStats", "Observability", "formula",
+    "SolverResult", "Observability", "formula",
     "parse_script", "run_script", "script_text",
     "RegexMatcher", "Match", "compile_pattern",
     "SolverContext", "BisimulationChecker", "LanguageCounter",

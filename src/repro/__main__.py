@@ -394,17 +394,10 @@ def _stats_lines(result, obs):
     lines = []
     stats = getattr(result, "stats", None) if result is not None else None
     if stats:
-        stats = stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
-        stats.pop("lifetime", None)
-        caches = stats.pop("caches", None)
         lines.append("stats: " + " ".join(
             "%s=%s" % (key, stats[key]) for key in sorted(stats)
             if not isinstance(stats[key], dict)
         ))
-        if caches:
-            lines.append("caches: " + " ".join(
-                "%s=%s" % (key, caches[key]) for key in sorted(caches)
-            ))
         ratio_line = _cache_ratio_line(stats)
         if ratio_line:
             lines.append(ratio_line)

@@ -221,3 +221,22 @@ class BooleanAlgebra(ABC):
         """Raise :class:`AlgebraError` unless ``phi`` is satisfiable."""
         if not self.is_sat(phi):
             raise AlgebraError("predicate is unsatisfiable: %r" % (phi,))
+
+
+def pred_ranges(algebra, pred):
+    """Serialize a predicate as sorted inclusive codepoint ranges (a
+    list of ``[lo, hi]`` pairs), or None when the algebra offers no
+    serializable view.  Certificates and warm-store fragments both
+    store guards this way."""
+    ranges = getattr(pred, "ranges", None)
+    if ranges is not None:
+        return [[lo, hi] for lo, hi in ranges]
+    if not hasattr(algebra, "chars"):
+        return None
+    out = []
+    for code in sorted(ord(c) for c in algebra.chars(pred)):
+        if out and code == out[-1][1] + 1:
+            out[-1][1] = code
+        else:
+            out.append([code, code])
+    return out

@@ -50,10 +50,9 @@ class Record:
     """Outcome of one (engine, problem) run.
 
     ``stats`` holds the per-record counters captured from the solver:
-    the result's stats (typed snapshots flattened via ``to_dict``) plus
-    the engine's metrics-registry snapshot under ``"metrics"``, so the
-    exported benchmark JSON carries explored-state, sat-check and memo
-    counters for every run.
+    a copy of the result's stats plus the engine's metrics-registry
+    snapshot under ``"metrics"``, so the exported benchmark JSON carries
+    explored-state, sat-check and memo counters for every run.
     """
 
     __slots__ = ("problem", "engine", "status", "seconds", "outcome", "stats")
@@ -74,8 +73,7 @@ class Record:
 
 def _capture_stats(result, solver):
     """Per-record counters: result stats + the engine's metrics tree."""
-    stats = result.stats
-    stats = stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
+    stats = dict(result.stats)
     obs = getattr(getattr(solver, "engine", None), "obs", None)
     if obs is not None and obs.metrics.enabled:
         stats["metrics"] = obs.metrics.snapshot()

@@ -10,10 +10,15 @@ the project's performance trajectory.  Each cell records::
     {"engine": "sbd", "suite": "kaluza", "total": 45, "solved": 45,
      "timeouts": 0, "wrong": 0, "timeout_rate": 0.0,
      "median_s": 0.004, "p90_s": 0.011, "mean_s": ..., "max_s": ...,
-     "counters": {"explored": ..., "sat_checks": ..., ...}}
+     "counters": {"case_splits": ..., "explored": ...,
+                  "solver.explored": ..., "deriv.sat_checks": ...,
+                  "cache.entries_total": ..., ...}}
 
-where ``counters`` sums the per-record solver counters the harness
-captures on every :class:`~repro.bench.harness.Record`.  The snapshot
+where ``counters`` sums the per-record counters the harness captures
+on every :class:`~repro.bench.harness.Record`: the result's stats
+(``case_splits`` plus the summed per-query counts of the regex
+sub-queries, bare names) and the solver's registry snapshot (dotted
+names; the ``cache.*`` levels aggregate as their peak).  The snapshot
 additionally embeds a span-derived profile of the reference engine
 (:func:`repro.obs.profile.profile_summary`), so each entry records
 *where* the time went, not just how much was spent.
@@ -59,10 +64,10 @@ def suite_key(problem):
     return problem.suite
 
 
-#: Metric names under this prefix are gauge *levels* (current cache
-#: sizes the lifecycle layer reports), not event counters: summing
-#: them across records would be meaningless, so they aggregate as the
-#: peak observed value instead.
+#: Metric names under this prefix are *levels* (current cache sizes
+#: the lifecycle layer reports), not event counters: summing them
+#: across records would be meaningless, so they aggregate as the peak
+#: observed value instead.
 _LEVEL_PREFIX = "cache."
 
 

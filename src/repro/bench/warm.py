@@ -137,11 +137,9 @@ def run_warm_suite(length=DEFAULT_LENGTH, seed=DEFAULT_SEED, fuel=100000,
         for counters, result in (
             (cold_counters, cold_result), (warm_counters, warm_result),
         ):
-            stats = result.stats
-            stats = stats.to_dict() if hasattr(stats, "to_dict") else stats
             for key in ("explored", "sat_checks", "algebra_ops",
                         "store_hits", "store_misses"):
-                counters[key] = counters.get(key, 0) + stats.get(key, 0)
+                counters[key] = counters.get(key, 0) + result.stats.get(key, 0)
         if not cold_result.is_unknown:
             solved_cold += 1
         if not warm_result.is_unknown:

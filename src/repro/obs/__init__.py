@@ -3,20 +3,23 @@
 The paper's performance story is about *why* lazy symbolic derivatives
 win — states explored, memo hit rates, sat-check volume — so the solver
 carries an :class:`Observability` bundle through every layer.  It has
-three channels:
+two channels:
 
-* ``obs.metrics`` — a :class:`~repro.obs.metrics.MetricsRegistry` of
-  counters, gauges and histograms, on by default; at snapshot time it
-  reads the engine, graph, algebra and solver counters and the cache
-  sizes in place;
+* ``obs.metrics`` — a :class:`~repro.obs.metrics.MetricsRegistry`, on
+  by default: a few counters, plus readers that read the engine,
+  graph, algebra, solver and store counts and the cache sizes in place
+  at snapshot time;
 * the record stream — a :class:`~repro.obs.events.Recorder` writing
   spans, events and heartbeats in one envelope (``v``/``kind``/``ts``/
   ``pid``/``worker``/``job``).  ``obs.tracer`` is the recorder spans
   (``solver.explore``, ``deriv.tree``, ``deriv.meld``,
   ``algebra.sat_check``, ``smt.case_split``, ``graph.update``) go to,
   ``obs.events`` the one events go to; both are off by default, and in
-  a flight both are the worker's one recorder;
-* :class:`~repro.solver.result.SolverStats` on every result.
+  a flight both are the worker's one recorder.
+
+A result's ``stats`` is no third channel: the solver reads the same
+layer counts at query entry and exit and reports the difference as a
+plain dict.
 
 Views over the record stream: :func:`chrome_trace` (``--trace``, the
 flight ``timeline.json``), :mod:`repro.obs.profile` (collapsed stacks
@@ -37,8 +40,7 @@ from repro.obs.events import (
     chrome_trace, read_chrome, read_events, read_jsonl, validate_event,
 )
 from repro.obs.metrics import (
-    Counter, Gauge, Histogram, MetricsRegistry,
-    NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, NULL_METRICS, NullMetrics,
+    Counter, MetricsRegistry, NULL_COUNTER, NULL_METRICS, NullMetrics,
     percentile,
 )
 from repro.obs.profile import (
@@ -101,9 +103,8 @@ __all__ = [
     "Recorder", "NullRecorder", "NULL_RECORDER",
     "EVENT_KINDS", "EVENT_SCHEMA_VERSION", "read_events", "validate_event",
     "chrome_trace", "read_chrome", "read_jsonl",
-    "MetricsRegistry", "Counter", "Gauge", "Histogram",
-    "NullMetrics", "NULL_METRICS", "NULL_COUNTER", "NULL_GAUGE",
-    "NULL_HISTOGRAM", "percentile",
+    "MetricsRegistry", "Counter", "NullMetrics", "NULL_METRICS",
+    "NULL_COUNTER", "percentile",
     "collapsed_stacks", "hotspots", "profile_summary", "read_collapsed",
     "render_hotspots", "write_collapsed",
 ]

@@ -30,6 +30,7 @@ engine instance whose verdict is being certified.
 
 import json
 
+from repro.alphabet.algebra import pred_ranges
 from repro.errors import ReproError
 
 #: Version stamp embedded in every certificate.  Bump on any change to
@@ -78,21 +79,13 @@ def algebra_from_spec(spec):
     raise CertificateError("unknown algebra spec %r" % (spec,))
 
 
-def pred_ranges(algebra, pred):
-    """Serialize a predicate as sorted inclusive codepoint ranges."""
-    ranges = getattr(pred, "ranges", None)
-    if ranges is not None:
-        return [[lo, hi] for lo, hi in ranges]
-    if hasattr(algebra, "chars"):
-        codes = sorted(ord(c) for c in algebra.chars(pred))
-        out = []
-        for code in codes:
-            if out and code == out[-1][1] + 1:
-                out[-1][1] = code
-            else:
-                out.append([code, code])
-        return out
-    raise CertificateError("cannot serialize predicate %r" % (pred,))
+def _guard_ranges(algebra, guard):
+    """A guard's :func:`~repro.alphabet.algebra.pred_ranges`, or
+    :class:`CertificateError` when it has none."""
+    ranges = pred_ranges(algebra, guard)
+    if ranges is None:
+        raise CertificateError("cannot serialize predicate %r" % (guard,))
+    return ranges
 
 
 def _canon_ranges(ranges):
@@ -405,7 +398,7 @@ class Explanation:
             cert["path"] = [
                 {
                     "state": state.uid,
-                    "guard": pred_ranges(algebra, guard),
+                    "guard": _guard_ranges(algebra, guard),
                     "char": ord(char),
                     "successor": successor.uid,
                 }
@@ -416,7 +409,7 @@ class Explanation:
             for state, state_rows in self.rows.items():
                 rows[str(state.uid)] = [
                     {
-                        "guard": pred_ranges(algebra, guard),
+                        "guard": _guard_ranges(algebra, guard),
                         "targets": sorted(t.uid for t in targets),
                     }
                     for guard, targets in state_rows
@@ -864,7 +857,7 @@ def _check_unsat(cert, algebra, builder, semantics, by_uid, node_to_uid,
                 target_uids.add(target_uid)
             if recompute_failed:
                 break
-            got[_canon_ranges(pred_ranges(algebra, guard))] = frozenset(
+            got[_canon_ranges(_guard_ranges(algebra, guard))] = frozenset(
                 target_uids
             )
         if recompute_failed:
@@ -934,7 +927,7 @@ def certificate_for_task(kind, payload, config, check=True):
     dict (summary + certificate + check outcome) or None for task
     kinds with no certified form.  Used to enrich slow-query flight
     artifacts; exceptions are the caller's problem to contain."""
-    if kind in ("pattern", "check"):
+    if kind == "pattern":
         result = explain_pattern(
             payload, max_char=config.get("max_char"),
             fuel=config.get("fuel"), seconds=config.get("seconds"),

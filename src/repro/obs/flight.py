@@ -570,9 +570,7 @@ class WorkerFlight:
         if self.slow_s is not None and elapsed >= self.slow_s:
             return "latency>=%.3fs" % self.slow_s
         if self.slow_explored:
-            stats = out.get("stats") or {}
-            explored = stats.get("explored", 0) if isinstance(stats, dict) \
-                else 0
+            explored = (out.get("stats") or {}).get("explored", 0)
             if explored >= self.slow_explored:
                 return "explored>=%d" % self.slow_explored
         return None

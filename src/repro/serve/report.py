@@ -69,15 +69,18 @@ class TaskResult:
 
 
 def merge_numeric(into, mapping):
-    """Sum ``mapping``'s numeric scalars into ``into`` (recursing one
-    level into nested dicts like the per-task ``stats["metrics"]``
-    registry snapshots), mirroring the BENCH snapshot aggregation."""
+    """Sum ``mapping``'s numeric scalars into ``into``, mirroring the
+    BENCH snapshot aggregation.  Of the nested dicts only ``metrics`` is
+    summed (one level deep): a ``bench`` task's registry snapshot
+    belongs to that task's fresh solver, while a ``lifetime`` reading
+    is cumulative over the worker's earlier tasks and would count them
+    again."""
     for key, value in mapping.items():
         if isinstance(value, bool):
             continue
         if isinstance(value, (int, float)):
             into[key] = into.get(key, 0) + value
-        elif isinstance(value, dict) and key in ("lifetime", "metrics"):
+        elif isinstance(value, dict) and key == "metrics":
             merge_numeric(into.setdefault(key, {}), value)
     return into
 

@@ -121,11 +121,6 @@ class WorkerState:
         return None
 
 
-def _result_stats(result):
-    stats = result.stats
-    return stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
-
-
 def _result_explanation(result):
     """A JSON-safe explanation summary for a result, or None.
 
@@ -156,7 +151,7 @@ def _solve_smt2(state, task):
         "model": result.model,
         "reason": result.reason,
         "error": result.error,
-        "stats": _result_stats(result),
+        "stats": result.stats,
     }
     explanation = _result_explanation(result)
     if explanation is not None:
@@ -172,7 +167,7 @@ def _solve_pattern(state, task):
         "witness": result.witness,
         "reason": result.reason,
         "error": result.error,
-        "stats": _result_stats(result),
+        "stats": result.stats,
     }
     explanation = _result_explanation(result)
     if explanation is not None:

@@ -20,8 +20,7 @@ from repro.regex.transform import eliminate_lookarounds
 from repro.solver.graph import RegexGraph
 from repro.solver.lifecycle import EngineState
 from repro.solver.result import (
-    Budget, RESOURCE_ERRORS, SAT, SolverResult, SolverStats, UNKNOWN, UNSAT,
-    error_info,
+    Budget, RESOURCE_ERRORS, SAT, SolverResult, UNKNOWN, UNSAT, error_info,
 )
 
 
@@ -67,15 +66,17 @@ class RegexSolver:
         #: when True every query carries a checkable provenance record
         #: (witness path / unsat closure) on ``result.explanation``
         self.explain = explain
-        scope = self.obs.metrics.scope("solver")
-        self._c_queries = scope.counter("queries")
-        self._c_witnesses = scope.counter("witnesses")
-        self._h_query_states = scope.histogram("query_states")
         self._tracer = self.obs.tracer
-        #: states popped across all queries (plain int on the hot path;
-        #: the registry reads it in place as ``solver.explored``)
+        #: the solver's own counts, plain ints on the hot path: states
+        #: popped, queries, sat answers and warm-store lookups; the
+        #: registry's ``solver`` and ``store`` scopes read them in place
         self._explored_n = 0
-        scope.read_from(self._counters)
+        self._queries_n = 0
+        self._witnesses_n = 0
+        self._store_hits_n = 0
+        self._store_misses_n = 0
+        self.obs.metrics.scope("solver").read_from(self._counters)
+        self.obs.metrics.scope("store").read_from(self._store_counters)
         #: the cross-query compiled-fragment store (repro.solver.store)
         self.store = None
         #: node -> full transition rows instantiated from the store;
@@ -92,16 +93,20 @@ class RegexSolver:
         self._canon_keys = {}
         #: per-query capture target, set by _consult_store on a miss
         self._capture = None
-        self._store_hits_n = 0
-        self._store_misses_n = 0
-        store_scope = self.obs.metrics.scope("store")
-        self._c_store_hits = store_scope.counter("hits")
-        self._c_store_misses = store_scope.counter("misses")
         if store is not None:
             self.attach_store(store)
 
     def _counters(self):
-        return {"explored": self._explored_n}
+        """The ``solver`` scope's values, read at snapshot time."""
+        return {
+            "explored": self._explored_n,
+            "queries": self._queries_n,
+            "witnesses": self._witnesses_n,
+        }
+
+    def _store_counters(self):
+        """The ``store`` scope's values, read at snapshot time."""
+        return {"hits": self._store_hits_n, "misses": self._store_misses_n}
 
     # -- the warm store -------------------------------------------------------
 
@@ -155,7 +160,6 @@ class RegexSolver:
         fragment = self.store.lookup(repr(self.algebra), key)
         if fragment is not None:
             self._store_hits_n += 1
-            self._c_store_hits.inc()
             if (regex not in self._warm_rows
                     and regex not in self._warm_sources):
                 from repro.solver.store import LazyFragment
@@ -167,7 +171,6 @@ class RegexSolver:
                     self._warm_sources[regex] = (lazy, 0)
             return
         self._store_misses_n += 1
-        self._c_store_misses.inc()
         self._capture = (key, {})
 
     def _capture_fragment(self, regex):
@@ -221,18 +224,17 @@ class RegexSolver:
             raise
         finally:
             self.state.end_query(keep=(regex,))
-        stats = result.stats
         events.emit(
             "query.end", query=query, status=result.status,
             elapsed=time.perf_counter() - started,
-            explored=getattr(stats, "explored", 0) or 0,
-            fuel_used=getattr(stats, "fuel_used", 0) or 0,
+            explored=result.stats.get("explored", 0),
+            fuel_used=result.stats.get("fuel_used", 0),
         )
         return result
 
     def _is_satisfiable(self, regex, budget):
         budget = budget or Budget()
-        self._c_queries.inc()
+        self._queries_n += 1
         mark = self._mark(budget)
         if regex.has_look:
             # derivative exploration is positional-blind: compile the
@@ -307,7 +309,7 @@ class RegexSolver:
                 UNSAT, stats=self._stats(mark, budget),
                 explanation=recorder.unsat(regex) if recorder else None,
             )
-        self._c_witnesses.inc()
+        self._witnesses_n += 1
         return SolverResult(
             SAT, witness=witness, stats=self._stats(mark, budget),
             explanation=(recorder.sat(regex, witness, recorder.sat_steps)
@@ -498,67 +500,38 @@ class RegexSolver:
         steps.reverse()
         return "".join(step[2] for step in steps), steps
 
+    def _reading(self):
+        """One cumulative reading of the counts the layers keep: the
+        graph's sizes, the derivative engine's counters, the algebra's
+        operations, the builder's node table and the solver's own ints,
+        keyed as the per-query stats report them."""
+        reading = self.graph.stats()
+        reading.update(self.engine._counters())
+        reading.update(
+            explored=self._explored_n,
+            algebra_ops=self.algebra.op_count,
+            interned_regexes=self.builder.interned_count,
+            store_hits=self._store_hits_n,
+            store_misses=self._store_misses_n,
+        )
+        return reading
+
     def _mark(self, budget):
-        """Snapshot the cumulative counters at query entry, so the
-        query's :class:`SolverStats` can report per-query deltas (the
-        memo tables and graph persist across queries on purpose)."""
-        engine = self.engine
-        return {
-            "graph": self.graph.stats(),
-            "explored": self._explored_n,
-            "sat_checks": engine.sat_checks,
-            "deriv_memo_hits": engine.deriv_memo_hits,
-            "deriv_memo_misses": engine.deriv_memo_misses,
-            "meld_memo_hits": engine.meld_memo_hits,
-            "meld_memo_misses": engine.meld_memo_misses,
-            "algebra_ops": self.algebra.op_count,
-            "interned": self.builder.interned_count,
-            "store_hits": self._store_hits_n,
-            "store_misses": self._store_misses_n,
-            "fuel_used": budget.fuel_used,
-            "started": time.perf_counter(),
-        }
+        """Query entry: a reading, the fuel used and the clock, so the
+        query's stats can report per-query differences (the memo tables
+        and graph persist across queries on purpose)."""
+        return self._reading(), budget.fuel_used, time.perf_counter()
 
     def _stats(self, mark, budget):
-        engine = self.engine
-        graph_now = self.graph.stats()
-        graph_then = mark["graph"]
-        explored = self._explored_n - mark["explored"]
-        self._h_query_states.observe(explored)
-        lifetime = dict(graph_now)
-        lifetime.update({
-            "queries": self._c_queries.value,
-            "explored": self._explored_n,
-            "sat_checks": engine.sat_checks,
-            "deriv_memo_hits": engine.deriv_memo_hits,
-            "deriv_memo_misses": engine.deriv_memo_misses,
-            "meld_memo_hits": engine.meld_memo_hits,
-            "meld_memo_misses": engine.meld_memo_misses,
-            "algebra_ops": self.algebra.op_count,
-            "interned_regexes": self.builder.interned_count,
-            "store_hits": self._store_hits_n,
-            "store_misses": self._store_misses_n,
-            "fuel_used": budget.fuel_used,
-        })
-        return SolverStats(
-            explored=explored,
-            vertices=graph_now["vertices"] - graph_then["vertices"],
-            edges=graph_now["edges"] - graph_then["edges"],
-            final=graph_now["final"] - graph_then["final"],
-            closed=graph_now["closed"] - graph_then["closed"],
-            alive=graph_now["alive"] - graph_then["alive"],
-            dead=graph_now["dead"] - graph_then["dead"],
-            sat_checks=engine.sat_checks - mark["sat_checks"],
-            deriv_memo_hits=engine.deriv_memo_hits - mark["deriv_memo_hits"],
-            deriv_memo_misses=engine.deriv_memo_misses - mark["deriv_memo_misses"],
-            meld_memo_hits=engine.meld_memo_hits - mark["meld_memo_hits"],
-            meld_memo_misses=engine.meld_memo_misses - mark["meld_memo_misses"],
-            algebra_ops=self.algebra.op_count - mark["algebra_ops"],
-            store_hits=self._store_hits_n - mark["store_hits"],
-            store_misses=self._store_misses_n - mark["store_misses"],
-            fuel_used=budget.fuel_used - mark["fuel_used"],
-            elapsed=time.perf_counter() - mark["started"],
-            interned_regexes=self.builder.interned_count - mark["interned"],
-            lifetime=lifetime,
-            caches=self.state.cache_sizes(),
-        )
+        """The query's stats: exit reading minus entry reading, the fuel
+        and wall time spent, and under ``lifetime`` the exit reading
+        with the query count and the budget's total fuel."""
+        then, fuel_then, started = mark
+        lifetime = self._reading()
+        stats = {key: value - then[key] for key, value in lifetime.items()}
+        stats["fuel_used"] = budget.fuel_used - fuel_then
+        stats["elapsed"] = time.perf_counter() - started
+        lifetime["queries"] = self._queries_n
+        lifetime["fuel_used"] = budget.fuel_used
+        stats["lifetime"] = lifetime
+        return stats

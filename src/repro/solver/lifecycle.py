@@ -9,8 +9,8 @@ that state a managed resource:
 
 * **Accounting** — :meth:`EngineState.cache_sizes` reports entry counts
   and approximate bytes per cache, read in place as the ``cache.*``
-  values of the :mod:`repro.obs` metrics registry and surfaced through
-  ``SolverStats.caches``, benchmark snapshots and CLI ``--stats``.
+  values of the :mod:`repro.obs` metrics registry, which is how
+  benchmark snapshots, heartbeats and CLI ``--stats`` see them.
 
 * **Compaction** — :meth:`EngineState.compact` runs a mark-and-rebuild
   pass at a *query boundary*: the live set is the closure of the keep

@@ -1,4 +1,4 @@
-"""Solver results, typed per-query statistics, and resource budgets."""
+"""Solver results and resource budgets."""
 
 import time
 
@@ -64,98 +64,15 @@ class Budget:
         return max(self.fuel - self.fuel_used, 0)
 
 
-class SolverStats:
-    """Typed snapshot of the work one query performed.
-
-    Every field is a *per-query* delta — :class:`~repro.solver.engine.
-    RegexSolver` snapshots its cumulative counters at query entry and
-    reports the difference — while ``lifetime`` holds the solver's
-    cumulative counters, since the derivative memo tables and the
-    reachability graph persist across queries on purpose.
-
-    Behaves like a read-only mapping for backward compatibility with
-    the free-form stats dict it replaced (``stats["vertices"]``,
-    ``"sat_checks" in stats`` and friends keep working).
-    """
-
-    _FIELDS = (
-        "explored", "vertices", "edges", "final", "closed", "alive", "dead",
-        "sat_checks", "deriv_memo_hits", "deriv_memo_misses",
-        "meld_memo_hits", "meld_memo_misses", "algebra_ops",
-        "fuel_used", "elapsed", "interned_regexes",
-        "store_hits", "store_misses",
-    )
-
-    #: dict-valued companions to the per-query delta fields: ``lifetime``
-    #: holds cumulative counters, ``caches`` the current cache entry
-    #: counts and approximate bytes (levels, not deltas — see
-    #: :meth:`repro.solver.lifecycle.EngineState.cache_sizes`).
-    _DICT_FIELDS = ("lifetime", "caches")
-
-    __slots__ = _FIELDS + _DICT_FIELDS
-
-    def __init__(self, lifetime=None, caches=None, **fields):
-        for name in self._FIELDS:
-            setattr(self, name, fields.pop(name, 0))
-        if fields:
-            raise TypeError("unknown stats fields: %s" % sorted(fields))
-        self.lifetime = lifetime if lifetime is not None else {}
-        self.caches = caches if caches is not None else {}
-
-    def to_dict(self):
-        out = {name: getattr(self, name) for name in self._FIELDS}
-        out["lifetime"] = dict(self.lifetime)
-        out["caches"] = dict(self.caches)
-        return out
-
-    # -- mapping compatibility ---------------------------------------------
-
-    def __getitem__(self, key):
-        if key in self._DICT_FIELDS:
-            return getattr(self, key)
-        if key in self._FIELDS:
-            return getattr(self, key)
-        raise KeyError(key)
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __contains__(self, key):
-        return key in self._DICT_FIELDS or key in self._FIELDS
-
-    def keys(self):
-        return list(self._FIELDS) + list(self._DICT_FIELDS)
-
-    def __iter__(self):
-        return iter(self.keys())
-
-    def __len__(self):
-        return len(self._FIELDS) + len(self._DICT_FIELDS)
-
-    def items(self):
-        return [(key, self[key]) for key in self.keys()]
-
-    def __eq__(self, other):
-        if isinstance(other, SolverStats):
-            return self.to_dict() == other.to_dict()
-        if isinstance(other, dict):
-            return self.to_dict() == other
-        return NotImplemented
-
-    def __repr__(self):
-        busy = ", ".join(
-            "%s=%r" % (name, getattr(self, name))
-            for name in self._FIELDS
-            if getattr(self, name)
-        )
-        return "SolverStats(%s)" % busy
-
-
 class SolverResult:
     """Outcome of a satisfiability-style query.
+
+    ``stats`` is a plain dict of the query's work counts, whatever the
+    engine: :class:`~repro.solver.engine.RegexSolver` reports the
+    difference between two readings of its layers' counters (query
+    entry and exit) plus their cumulative values under ``"lifetime"``;
+    :class:`~repro.solver.smt.SmtSolver` sums its regex sub-queries'
+    counts next to ``"case_splits"``.
 
     ``error`` is populated when the query was answered ``unknown``
     because of a mapped engine failure (resource exhaustion such as
@@ -194,16 +111,11 @@ class SolverResult:
 
     def to_dict(self):
         """JSON-serializable view (used by the CLI and bench export)."""
-        stats = self.stats
-        if hasattr(stats, "to_dict"):
-            stats = stats.to_dict()
-        else:
-            stats = dict(stats)
         out = {
             "status": self.status,
             "witness": self.witness,
             "reason": self.reason,
-            "stats": stats,
+            "stats": dict(self.stats),
         }
         if self.model is not None:
             out["model"] = dict(self.model)

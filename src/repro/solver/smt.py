@@ -47,11 +47,9 @@ class SmtSolver:
         events.emit("smt.start")
         result = self._solve_held(formula, budget)
         if events.enabled:
-            stats = result.stats or {}
             events.emit(
                 "smt.end", status=result.status,
-                case_splits=stats.get("case_splits", 0)
-                if isinstance(stats, dict) else 0,
+                case_splits=result.stats["case_splits"],
             )
         return result
 
@@ -73,18 +71,20 @@ class SmtSolver:
         budget = budget or Budget()
         saw_unknown = False
         unknown_reason = None
-        case_splits = 0
+        # the formula's stats: its case splits plus the summed counts
+        # of every regex sub-query
+        stats = {"case_splits": 0}
         # when the regex engine records provenance, collect one entry
         # per certified per-variable sub-verdict; the Boolean front end
         # itself is outside the certificate trust boundary (DESIGN.md)
         branches = [] if getattr(self.engine, "explain", False) else None
         try:
-            for literals in _disjuncts(F.nnf(formula)):
-                case_splits += 1
+            for case, literals in enumerate(_disjuncts(F.nnf(formula))):
+                stats["case_splits"] += 1
                 self._c_case_splits.inc()
                 with self._tracer.span("smt.case_split", literals=len(literals)):
                     outcome = self._solve_conjunct(
-                        literals, budget, case_splits - 1, branches
+                        literals, budget, stats, case, branches
                     )
                 if outcome is None:
                     saw_unknown = True
@@ -94,22 +94,17 @@ class SmtSolver:
                     if branches is not None:
                         explanation = SmtExplanation("sat", [
                             b for b in branches
-                            if b["case"] == case_splits - 1
+                            if b["case"] == case
                             and b["explanation"].kind == "sat"
                         ])
                     return SolverResult(
-                        SAT, model=outcome,
-                        stats={"case_splits": case_splits},
+                        SAT, model=outcome, stats=stats,
                         explanation=explanation,
                     )
         except BudgetExceeded as exc:
-            return SolverResult(
-                UNKNOWN, reason=str(exc), stats={"case_splits": case_splits}
-            )
+            return SolverResult(UNKNOWN, reason=str(exc), stats=stats)
         except UnsupportedError as exc:
-            return SolverResult(
-                UNKNOWN, reason=str(exc), stats={"case_splits": case_splits}
-            )
+            return SolverResult(UNKNOWN, reason=str(exc), stats=stats)
         except InvalidWitness as exc:
             # the (pluggable) regex engine reported sat but its witness
             # fails validation against the very constraints it solved:
@@ -119,7 +114,7 @@ class SmtSolver:
                 UNKNOWN,
                 reason=str(exc),
                 error=error_info(exc),
-                stats={"case_splits": case_splits},
+                stats=stats,
             )
         except RESOURCE_ERRORS as exc:
             # NNF/DNF expansion or regex construction on pathologically
@@ -129,12 +124,12 @@ class SmtSolver:
                 UNKNOWN,
                 reason="%s during solving" % type(exc).__name__,
                 error=error_info(exc),
-                stats={"case_splits": case_splits},
+                stats=stats,
             )
         if saw_unknown:
             return SolverResult(
                 UNKNOWN, reason=unknown_reason or "incomplete branch",
-                stats={"case_splits": case_splits},
+                stats=stats,
             )
         explanation = None
         if branches is not None:
@@ -142,17 +137,16 @@ class SmtSolver:
             explanation = SmtExplanation("unsat", [
                 b for b in branches if b["explanation"].kind == "unsat"
             ])
-        return SolverResult(
-            UNSAT, stats={"case_splits": case_splits},
-            explanation=explanation,
-        )
+        return SolverResult(UNSAT, stats=stats, explanation=explanation)
 
     #: SMT-LIB-flavoured alias for :meth:`solve` (``check-sat``).
     check = solve
 
-    def _solve_conjunct(self, literals, budget, case=0, branches=None):
+    def _solve_conjunct(self, literals, budget, stats, case=0,
+                        branches=None):
         """One DNF branch.  Returns a model dict, False (branch unsat),
-        or None (branch undecided).  When ``branches`` is a list, the
+        or None (branch undecided).  Each per-variable sub-query's
+        counts are added to ``stats``.  When ``branches`` is a list, the
         per-variable explanations produced by the regex engine are
         appended to it as ``{"case", "var", "explanation"}`` entries."""
         builder = self.builder
@@ -183,6 +177,7 @@ class SmtSolver:
         undecided = False
         for var, regex in constraints.items():
             result = self.engine.is_satisfiable(regex, budget)
+            _add_work(stats, result.stats)
             if branches is not None and result.explanation is not None:
                 branches.append({
                     "case": case, "var": var,
@@ -288,6 +283,15 @@ def solve_and_replay(solver, regex, budget=None):
                 stats=result.stats, explanation=result.explanation,
             )
     return result
+
+
+def _add_work(stats, sub_stats):
+    """Sum a sub-query's numeric per-query counts into ``stats``; its
+    wall time and nested values (``lifetime``) stay out."""
+    for key, value in sub_stats.items():
+        if (key != "elapsed" and isinstance(value, (int, float))
+                and not isinstance(value, bool)):
+            stats[key] = stats.get(key, 0) + value
 
 
 def _len_cmp(length, op, bound):

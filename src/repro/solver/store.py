@@ -43,6 +43,7 @@ Correctness contract (see DESIGN.md "The warm store"):
 
 import json
 
+from repro.alphabet.algebra import pred_ranges
 from repro.errors import AlgebraError, ReproError
 from repro.regex.ast import (
     COMPL, CONCAT, EMPTY, EPSILON, INTER, LOOP, PRED, UNION,
@@ -83,24 +84,6 @@ def canonical_pattern(builder, regex):
     return text
 
 
-def _guard_ranges(algebra, guard):
-    """Serialize one guard as sorted inclusive codepoint ranges, or
-    None when the algebra offers no serializable view."""
-    ranges = getattr(guard, "ranges", None)
-    if ranges is not None:
-        return [[lo, hi] for lo, hi in ranges]
-    if hasattr(algebra, "chars"):
-        codes = sorted(ord(c) for c in algebra.chars(guard))
-        out = []
-        for code in codes:
-            if out and code == out[-1][1] + 1:
-                out[-1][1] = code
-            else:
-                out.append([code, code])
-        return out
-    return None
-
-
 def _encode_states(algebra, states):
     """Compile the states' shared DAG into a flat postorder program.
 
@@ -128,7 +111,7 @@ def _encode_states(algebra, states):
         stack.pop()
         kind = node.kind
         if kind == PRED:
-            ranges = _guard_ranges(algebra, node.pred)
+            ranges = pred_ranges(algebra, node.pred)
             if ranges is None:
                 return None
             op = ["p", ranges]
@@ -200,7 +183,7 @@ def build_fragment(builder, root, key, rows_by_node,
             continue
         out_rows = []
         for guard, targets in rows:
-            ranges = _guard_ranges(algebra, guard)
+            ranges = pred_ranges(algebra, guard)
             if ranges is None:
                 return None
             out_rows.append([ranges, [index[t] for t in targets]])

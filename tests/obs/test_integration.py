@@ -1,14 +1,12 @@
 """End-to-end telemetry: solver counters, memo hit rates, per-query
-deltas, typed stats, and the CLI flags."""
+deltas, plain-dict stats, and the CLI flags."""
 
 import json
-
-import pytest
 
 from repro.alphabet import IntervalAlgebra
 from repro.obs import Observability, read_chrome, read_jsonl
 from repro.regex import RegexBuilder, parse
-from repro.solver import RegexSolver, SolverResult, SolverStats
+from repro.solver import Budget, RegexSolver, SolverResult
 from repro.__main__ import main
 
 
@@ -48,7 +46,7 @@ def test_per_query_stats_are_deltas_with_lifetime():
     solver, builder = make_solver()
     r1 = solver.is_satisfiable(parse(builder, "(a|b)*abb"))
     r2 = solver.is_satisfiable(parse(builder, "(a|b)*abb"))
-    assert isinstance(r1.stats, SolverStats)
+    assert type(r1.stats) is dict
     # second run of the same (memoized, graph-cached) query does very
     # little fresh work...
     assert r2.stats["explored"] <= r1.stats["explored"]
@@ -61,20 +59,47 @@ def test_per_query_stats_are_deltas_with_lifetime():
     )
 
 
-def test_stats_mapping_compat():
-    stats = SolverStats(explored=3, sat_checks=2)
-    assert stats["explored"] == 3
-    assert "sat_checks" in stats
-    assert stats.get("missing", -1) == -1
-    assert dict(stats.items())["explored"] == 3
-    with pytest.raises(KeyError):
-        stats["nope"]
-    with pytest.raises(TypeError):
-        SolverStats(bogus_field=1)
+#: The per-query keys of a RegexSolver result's stats, besides
+#: ``lifetime``.
+QUERY_KEYS = {
+    "explored", "vertices", "edges", "final", "closed", "alive", "dead",
+    "sat_checks", "deriv_memo_hits", "deriv_memo_misses",
+    "meld_memo_hits", "meld_memo_misses", "algebra_ops",
+    "fuel_used", "elapsed", "interned_regexes",
+    "store_hits", "store_misses",
+}
+
+
+def test_stats_never_depend_on_the_registry():
+    """Stats are read from the layers' own counters, so a solver with
+    every instrument off reports exactly what a metered one does, and
+    each query's counts are the step between two lifetime readings
+    (the two queries share one budget, whose total fuel ``lifetime``
+    reports)."""
+    runs = []
+    for obs in (Observability(), Observability.disabled()):
+        builder = RegexBuilder(IntervalAlgebra(127))
+        solver = RegexSolver(builder, obs=obs)
+        regex = parse(builder, "(a|b)*abb")
+        budget = Budget()
+        runs.append([
+            solver.is_satisfiable(regex, budget).stats for _ in range(2)
+        ])
+    for stats in runs[0] + runs[1]:
+        assert type(stats) is dict
+        assert set(stats) == QUERY_KEYS | {"lifetime"}
+    for metered, bare in zip(runs[0], runs[1]):
+        assert {k: v for k, v in metered.items() if k != "elapsed"} == {
+            k: v for k, v in bare.items() if k != "elapsed"
+        }
+    for r1, r2 in runs:
+        assert r2["lifetime"]["queries"] == 2
+        for key in QUERY_KEYS - {"elapsed"}:
+            assert r2["lifetime"][key] - r1["lifetime"][key] == r2[key]
 
 
 def test_solver_result_to_dict():
-    stats = SolverStats(explored=5)
+    stats = {"explored": 5}
     result = SolverResult("sat", witness="ab", stats=stats)
     out = result.to_dict()
     assert out["status"] == "sat"

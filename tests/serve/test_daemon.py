@@ -198,6 +198,34 @@ class TestServing:
             daemon.stop()
 
 
+    def test_smt2_jobs_count_their_store_lookups(self, daemon_path,
+                                                 tmp_path):
+        """The ``stats`` op sums store lookups from result stats, so an
+        smt2 job's regex sub-queries must report theirs."""
+        storepath = str(tmp_path / "store.json")
+        daemon = start_daemon(
+            daemon_path, workers=1, store_path=storepath,
+            store_save=storepath,
+        )
+        script = (
+            '(declare-fun x () String)'
+            '(assert (str.in_re x (re.inter (re.* (str.to_re "ab"))'
+            ' (re.++ re.all (str.to_re "b")))))(check-sat)'
+        )
+        try:
+            with DaemonClient(daemon_path) as client:
+                for round_no in range(2):
+                    client.solve(
+                        [Job("s%d" % round_no, "smt2", script)],
+                        timeout=60.0,
+                    )
+                stats = client.stats()
+            # the first solve misses, the second hits the worker's store
+            assert stats["store"]["misses"] == 1
+            assert stats["store"]["hits"] == 1
+        finally:
+            daemon.stop()
+
     def test_recv_timeout_override_does_not_stick(self, daemon_path):
         """A per-read ``timeout`` (``solve`` passes one on every read)
         must not become the connection default that later ``stats`` and

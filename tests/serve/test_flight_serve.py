@@ -101,6 +101,33 @@ def test_slow_queries_are_captured_and_replay_to_same_verdict(tmp_path):
     assert len(captures) == len(artifacts)
 
 
+#: ``(.*a.{6})&(.*b.{6})`` as an SMT-LIB script: unsat after exploring
+#: 28 derivative states.
+BLOWUP_SMT2 = (
+    '(declare-fun x () String)'
+    '(assert (str.in_re x (re.inter'
+    ' (re.++ re.all (str.to_re "a") ((_ re.loop 6 6) re.allchar))'
+    ' (re.++ re.all (str.to_re "b") ((_ re.loop 6 6) re.allchar)))))'
+    '(check-sat)'
+)
+
+
+def test_smt2_tasks_are_captured_by_explored_states(tmp_path):
+    """An smt2 result carries its regex sub-queries' work, so the
+    derivative-count threshold captures an SMT task as it captures the
+    same constraint given as a pattern."""
+    report = run_flight(tmp_path, [Job("smt", "smt2", BLOWUP_SMT2)],
+                        workers=1, slow_explored=10)
+    [result] = report.results
+    assert result.status == "unsat"
+    assert result.stats["case_splits"] == 1
+    assert result.stats["explored"] == 28
+    [path] = list_artifacts(str(tmp_path))
+    comparison = replay_artifact(path)
+    assert comparison["match"] is True, comparison
+    assert (comparison["name"], comparison["replayed"]) == ("smt", "unsat")
+
+
 def test_crashed_worker_is_narrated_and_survives_in_streams(tmp_path):
     jobs = [
         Job("before", "pattern", "a|b"),

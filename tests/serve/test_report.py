@@ -1,6 +1,8 @@
 """TaskResult / BatchReport aggregation."""
 
-from repro.serve import BatchReport, TaskResult, merge_numeric
+from repro.serve import (
+    BatchReport, Job, TaskResult, merge_numeric, solve_batch,
+)
 
 
 def test_merge_numeric_sums_scalars_and_nested_metrics():
@@ -34,6 +36,22 @@ def test_cpu_time_sums_elapsed_and_counters_merge():
     assert report.cpu_s == 2.0
     assert report.counters["explored"] == 5
     assert report.worker_metrics == {"deriv.steps": 10}
+
+
+def test_counters_sum_per_task_values_not_lifetime_readings():
+    """Each pattern result carries its worker's cumulative ``lifetime``
+    reading, which already includes the worker's earlier tasks: the
+    batch counters sum the per-task values only."""
+    patterns = ["a|b", "(ab){2,3}", "a*b", "a&b"]
+    report = solve_batch(
+        [Job("j%d" % i, "pattern", p) for i, p in enumerate(patterns)],
+        workers=1, fuel=100000, seconds=5.0,
+    )
+    assert max(r.stats["lifetime"]["queries"] for r in report.results) == 4
+    assert "lifetime" not in report.counters
+    assert report.counters["explored"] == sum(
+        r.stats["explored"] for r in report.results
+    )
 
 
 def test_to_dict_and_summary_line():

@@ -62,14 +62,6 @@ class TestAccounting:
         assert sizes["entries_total"] > 0
         assert sizes["approx_bytes"] > 0
 
-    def test_stats_carry_caches(self, builder):
-        solver = RegexSolver(builder)
-        result = solver.is_satisfiable(parse(builder, "a*b"))
-        assert result.stats.caches["regex_nodes"] > 0
-        assert "caches" in result.stats.to_dict()
-        # mapping compatibility extends to the new slot
-        assert result.stats["caches"] == result.stats.caches
-
     def test_gauges_published_at_query_boundary(self, builder):
         solver = RegexSolver(builder)
         solver.is_satisfiable(parse(builder, "a*b"))

@@ -209,8 +209,8 @@ def test_store_hits_reported_in_stats():
     store = SolverStore()
     _solve_capturing(store, "(a|b)*abb")
     _, _, result = _solve_capturing(store, "(a|b)*abb")
-    assert result.stats.store_hits == 1
-    assert result.stats.store_misses == 0
+    assert result.stats["store_hits"] == 1
+    assert result.stats["store_misses"] == 0
     assert result.stats["lifetime"]["store_hits"] == 1
 
 
@@ -267,7 +267,7 @@ def test_compaction_keeps_store_entries_warm():
     again = solver.is_satisfiable(parse(builder, hot))
     assert again.status == first.status
     assert again.witness == first.witness
-    assert again.stats.store_hits == 1, (
+    assert again.stats["store_hits"] == 1, (
         "compaction turned a warm pattern cold"
     )
 
