@@ -16,6 +16,11 @@ Exit status: 0 when the corpus replays clean, both sweeps agree, and
 the campaign found no unexplained disagreement (one whose shrunk
 pattern is not already frozen in the corpus); 1 otherwise.
 
+Solver output follows set iteration order, and so the string hash
+seed.  Unless ``PYTHONHASHSEED`` names one, the script re-executes
+itself under ``PYTHONHASHSEED`` = ``--seed``, and the campaign line
+prints the hash seed, so every finding reruns exactly.
+
 Examples::
 
     PYTHONPATH=src python scripts/verify_ci.py --seed 0 --budget 60 --jobs 2
@@ -230,9 +235,10 @@ def main(argv=None):
     )
     elapsed = time.monotonic() - started
     print(
-        "campaign: %d cases in %.1fs (seed=%d jobs=%d), %d findings, "
-        "%d unexplained" % (
-            report["cases"], elapsed, report["seed"], report["jobs"],
+        "campaign: %d cases in %.1fs (seed=%d hashseed=%s jobs=%d), "
+        "%d findings, %d unexplained" % (
+            report["cases"], elapsed, report["seed"],
+            os.environ.get("PYTHONHASHSEED", "random"), report["jobs"],
             len(report["findings"]), report["unexplained"],
         )
     )
@@ -254,5 +260,14 @@ def main(argv=None):
     return status
 
 
+def pin_hash_seed(seed):
+    """Re-execute this script under ``PYTHONHASHSEED`` = ``seed``
+    unless a hash seed is set already."""
+    if os.environ.get("PYTHONHASHSEED", "random") == "random":
+        os.environ["PYTHONHASHSEED"] = str(seed % (1 << 32))
+        os.execv(sys.executable, [sys.executable] + sys.argv)
+
+
 if __name__ == "__main__":
+    pin_hash_seed(build_parser().parse_args().seed)
     sys.exit(main())

@@ -19,7 +19,9 @@ two channels:
 
 A result's ``stats`` is no third channel: the solver reads the same
 layer counts at query entry and exit and reports the difference as a
-plain dict.
+plain dict.  Nor is its ``explanation`` (:mod:`repro.obs.explain`): a
+checkable proof built from what the solver keeps anyway, the witness
+steps and the query's table of expanded rows.
 
 Views over the record stream: :func:`chrome_trace` (``--trace``, the
 flight ``timeline.json``), :mod:`repro.obs.profile` (collapsed stacks
@@ -31,9 +33,8 @@ so instrumented hot paths cost one attribute lookup per event.
 """
 
 from repro.obs.explain import (
-    CERT_SCHEMA_VERSION, CertificateError, CheckResult, ExplainRecorder,
-    Explanation, SmtExplanation, check_certificate, explain_pattern,
-    explain_witness,
+    CERT_SCHEMA_VERSION, CertificateError, CheckResult, Explanation,
+    SmtExplanation, check_certificate,
 )
 from repro.obs.events import (
     EVENT_KINDS, EVENT_SCHEMA_VERSION, NULL_RECORDER, NullRecorder, Recorder,
@@ -98,8 +99,7 @@ NULL_OBS = Observability(
 __all__ = [
     "Observability", "NULL_OBS",
     "CERT_SCHEMA_VERSION", "CertificateError", "CheckResult",
-    "ExplainRecorder", "Explanation", "SmtExplanation",
-    "check_certificate", "explain_pattern", "explain_witness",
+    "Explanation", "SmtExplanation", "check_certificate",
     "Recorder", "NullRecorder", "NULL_RECORDER",
     "EVENT_KINDS", "EVENT_SCHEMA_VERSION", "read_events", "validate_event",
     "chrome_trace", "read_chrome", "read_jsonl",

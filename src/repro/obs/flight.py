@@ -41,10 +41,11 @@ not after the batch report lands.
 (``slow_s``) or the derivative-count threshold (``slow_explored``,
 compared against the solver's ``explored`` stat), the worker freezes a
 self-contained JSON artifact — payload, kind, budget, verdict, stats —
-into ``slow/``.  :func:`replay_artifact` re-solves it through the very
-worker executor that produced it (same budgets, fresh state) and
-reports whether the verdict reproduces; the ``repro replay`` CLI wraps
-that.
+into ``slow/``; a concrete ``pattern`` or ``smt2`` verdict also gets a
+checked certificate from a re-solve with provenance on.
+:func:`replay_artifact` re-solves it through the very worker executor
+that produced it (same budgets, fresh state) and reports whether the
+verdict reproduces; the ``repro replay`` CLI wraps that.
 
 **Timeline.**  :func:`merge_timeline` renders every lane through
 :func:`~repro.obs.events.chrome_trace`: one pid lane per process (named
@@ -61,6 +62,7 @@ import threading
 import time
 
 from repro.obs.events import Recorder, chrome_trace, read_events
+from repro.obs.explain import CertificateError
 from repro.obs.metrics import percentile
 
 #: Schema version stamped on slow-query artifacts.
@@ -347,24 +349,53 @@ def capture_artifact(flight_dir, task, out, config, worker=None, pid=None,
                 "explanation"):
         if out.get(key) is not None:
             artifact[key] = out[key]
-    if artifact.get("status") in ("sat", "unsat"):
+    if artifact["status"] in ("sat", "unsat") \
+            and artifact["kind"] in ("pattern", "smt2"):
         # a slow concrete verdict is exactly the one worth a proof:
-        # re-solve with provenance on (same budget) and embed the
-        # checked certificate.  Never let enrichment break capture.
+        # re-solve with provenance on, through the worker's executor on
+        # a fresh stack, and embed the checked certificate.  Never let
+        # enrichment break capture.
         try:
-            from repro.obs.explain import certificate_for_task
+            from repro.serve.worker import solve_payload
 
-            cert = certificate_for_task(
-                task.get("kind"), task.get("payload"), config
+            result = solve_payload(
+                _artifact_state(artifact, explain=True), artifact["kind"],
+                artifact["payload"],
             )
-            if cert is not None and cert.get("status") == artifact["status"]:
-                artifact["certificate"] = cert
+            explanation = result.explanation
+            if explanation is not None \
+                    and result.status == artifact["status"]:
+                explanation.check()
+                cert = artifact["certificate"] = {
+                    "status": result.status,
+                    "summary": explanation.summary(),
+                    "explanation": explanation.to_dict(),
+                }
+                try:
+                    cert["certificate"] = explanation.certificate()
+                except CertificateError:
+                    pass
         except Exception:
             pass
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(artifact, handle, indent=1, sort_keys=True, default=str)
         handle.write("\n")
     return path
+
+
+def _artifact_state(artifact, explain=False):
+    """A fresh :class:`~repro.serve.worker.WorkerState` with the
+    artifact's recorded budget and ``max_char``."""
+    # imported lazily: repro.serve depends on repro.obs, not vice versa
+    from repro.serve.worker import WorkerState
+
+    budget = artifact.get("budget") or {}
+    return WorkerState({
+        "fuel": budget.get("fuel"),
+        "seconds": budget.get("seconds"),
+        "max_char": artifact.get("max_char"),
+        "explain": explain,
+    })
 
 
 def replay_artifact(source):
@@ -377,19 +408,13 @@ def replay_artifact(source):
     so "replays to the same verdict" means the full task semantics
     (bench outcome rules included), not just a similar solve.
     """
-    # imported lazily: repro.serve depends on repro.obs, not vice versa
-    from repro.serve.worker import WorkerState, execute_task
+    from repro.serve.worker import execute_task
 
     if isinstance(source, dict):
         artifact, path = source, None
     else:
         artifact, path = load_artifact(source), str(source)
-    config = {
-        "fuel": (artifact.get("budget") or {}).get("fuel"),
-        "seconds": (artifact.get("budget") or {}).get("seconds"),
-        "max_char": artifact.get("max_char"),
-    }
-    state = WorkerState(config)
+    state = _artifact_state(artifact)
     task = {
         "index": artifact.get("index", 0),
         "name": artifact.get("name", "replay"),

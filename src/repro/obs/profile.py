@@ -27,8 +27,6 @@ renders as one lane; only a stream merged from several processes gets
 per-pid trees, ``pid:<N>`` stack frames and per-pid hotspot rows.
 """
 
-import json
-
 
 def span_events(events):
     """The span records (events and heartbeats attribute nothing)."""
@@ -252,10 +250,3 @@ def render_hotspots(events, k=10):
                  % (wall, covered, len(rows)))
     return "\n".join(lines)
 
-
-def write_profile_json(events, path, k=10):
-    """Write :func:`profile_summary` as JSON; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(profile_summary(events, k=k), handle, indent=1,
-                  sort_keys=True)
-    return path

@@ -23,7 +23,7 @@ that the host solver would accumulate.
 from collections import deque
 
 from repro.errors import BudgetExceeded
-from repro.obs.explain import ExplainRecorder, explain_witness
+from repro.obs.explain import Explanation
 from repro.solver.result import Budget, SAT, SolverResult, UNKNOWN, UNSAT
 
 
@@ -71,8 +71,8 @@ class PropagationEngine:
         :class:`~repro.obs.explain.Explanation` the optimized engine
         produces: the rule engine tracks prefixes rather than parent
         chains, so a sat witness path is rebuilt after the fact
-        (:func:`~repro.obs.explain.explain_witness`) and an unsat
-        closure is collected from the memoized derivative trees.
+        (:func:`explain_witness`) and an unsat closure is collected
+        from the memoized derivative trees.
         """
         budget = budget or Budget()
         obs = self.solver.obs
@@ -126,14 +126,14 @@ class PropagationEngine:
             return SolverResult(
                 UNKNOWN, reason=str(exc), stats={"trace": trace.counts},
                 explanation=(
-                    ExplainRecorder(self.solver).unknown(regex, str(exc))
+                    Explanation.unknown(self.solver, regex, str(exc))
                     if explain else None
                 ),
             )
         return SolverResult(
             UNSAT, stats={"trace": trace.counts},
             explanation=(
-                ExplainRecorder(self.solver).unsat(regex) if explain else None
+                Explanation.unsat(self.solver, regex, {}) if explain else None
             ),
         )
 
@@ -150,3 +150,41 @@ class PropagationEngine:
             tree.other, self.algebra.conj(path, self.algebra.neg(tree.pred)), trace
         )
         return out
+
+
+def explain_witness(solver, root, witness):
+    """Rebuild a checkable witness path for a known witness string.
+
+    The rule engine finds witnesses without a parent chain, so this
+    walks the conditional trees from ``root``, choosing at each position
+    the row whose guard admits the witness character and, among its
+    alternatives, a successor that still accepts the remaining suffix
+    (decided by the reference semantics, so the chosen path is exactly
+    what the checker will re-verify).  Returns None if no such path
+    exists — which, for a genuine witness, cannot happen.
+    """
+    from repro.regex.semantics import Matcher
+
+    engine = solver.engine
+    algebra = solver.algebra
+    semantics = Matcher(algebra)
+    state = root
+    steps = []
+    for i, char in enumerate(witness):
+        suffix = witness[i + 1:]
+        chosen = None
+        for guard, targets in engine.transitions(state):
+            if not algebra.member(char, guard):
+                continue
+            for target in targets:
+                if semantics.matches(target, suffix):
+                    chosen = (state, guard, char, target)
+                    break
+            break  # the guards partition the domain: only one row fits
+        if chosen is None:
+            return None
+        steps.append(chosen)
+        state = chosen[3]
+    if not state.nullable:
+        return None
+    return Explanation.sat(solver, root, witness, steps)

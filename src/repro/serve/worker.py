@@ -139,32 +139,31 @@ def _result_explanation(result):
         return {"kind": explanation.kind, "error": error_info(exc)}
 
 
-def _solve_smt2(state, task):
+def solve_payload(state, kind, payload):
+    """The :class:`~repro.solver.result.SolverResult` of a ``pattern``
+    (through :func:`~repro.solver.smt.solve_and_replay`) or ``smt2``
+    payload on ``state``'s stack: what the worker's executors and the
+    flight recorder's certificates solve with."""
+    if kind == "pattern":
+        return solve_and_replay(
+            state.regex_solver, parse(state.builder, payload), state.budget()
+        )
     from repro.smtlib.interp import run_script
 
-    result = run_script(
-        state.builder, task["payload"], solver=state.smt_solver,
+    return run_script(
+        state.builder, payload, solver=state.smt_solver,
         budget=state.budget(),
     )
-    out = {
-        "status": result.status,
-        "model": result.model,
-        "reason": result.reason,
-        "error": result.error,
-        "stats": result.stats,
-    }
-    explanation = _result_explanation(result)
-    if explanation is not None:
-        out["explanation"] = explanation
-    return out
 
 
-def _solve_pattern(state, task):
-    regex = parse(state.builder, task["payload"])
-    result = solve_and_replay(state.regex_solver, regex, state.budget())
+def _solve(state, task):
+    """The ``pattern`` and ``smt2`` executor: a witness or a model,
+    plus the checked explanation summary when provenance is on."""
+    result = solve_payload(state, task["kind"], task["payload"])
+    answer = "witness" if task["kind"] == "pattern" else "model"
     out = {
         "status": result.status,
-        "witness": result.witness,
+        answer: getattr(result, answer),
         "reason": result.reason,
         "error": result.error,
         "stats": result.stats,
@@ -217,8 +216,8 @@ def _crash(state, task):
 
 
 _EXECUTORS = {
-    "smt2": _solve_smt2,
-    "pattern": _solve_pattern,
+    "smt2": _solve,
+    "pattern": _solve,
     "bench": _solve_bench,
     "crash": _crash,
 }

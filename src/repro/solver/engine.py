@@ -10,12 +10,13 @@ decidable, so the only source of ``unknown`` is an explicit budget).
 """
 
 import time
+import weakref
 from collections import deque
 
 from repro.derivatives.condtree import DerivativeEngine
 from repro.errors import BudgetExceeded, ReproError, UnsupportedError
 from repro.obs import Observability
-from repro.obs.explain import ExplainRecorder
+from repro.obs.explain import Explanation
 from repro.regex.transform import eliminate_lookarounds
 from repro.solver.graph import RegexGraph
 from repro.solver.lifecycle import EngineState
@@ -66,6 +67,11 @@ class RegexSolver:
         #: when True every query carries a checkable provenance record
         #: (witness path / unsat closure) on ``result.explanation``
         self.explain = explain
+        #: the unsat explanations still alive: their roots are
+        #: compaction roots (see _proof_roots)
+        self._proofs = weakref.WeakSet()
+        if explain:
+            self.state.add_root_provider(self._proof_roots)
         self._tracer = self.obs.tracer
         #: the solver's own counts, plain ints on the hot path: states
         #: popped, queries, sat answers and warm-store lookups; the
@@ -91,7 +97,7 @@ class RegexSolver:
         self._warm_sources = {}
         #: per-root-uid canonical key memo (None = uncacheable)
         self._canon_keys = {}
-        #: per-query capture target, set by _consult_store on a miss
+        #: the running query's missed store key (see _consult_store)
         self._capture = None
         if store is not None:
             self.attach_store(store)
@@ -131,13 +137,19 @@ class RegexSolver:
         roots.extend(self._warm_sources)
         return roots
 
+    def _proof_roots(self):
+        """Keep every live unsat explanation's closure across
+        compactions: its walk waits for first access, and a retired
+        state would re-derive into a fresh duplicate of itself."""
+        return [proof.root for proof in self._proofs]
+
     def _consult_store(self, regex):
         """Query-entry store consultation.
 
         On a hit the fragment's rows are instantiated into
         ``_warm_rows`` (once — later queries find them already live).
-        On a miss, arms per-query row capture; :meth:`_edges` fills it
-        and :meth:`_capture_fragment` stores it at query end.
+        On a miss, remembers the key: :meth:`_capture_fragment` stores
+        the query's row table under it at query end.
 
         The lookup key is the printed pattern alone — cheaper than the
         full :func:`~repro.solver.store.canonical_pattern` roundtrip,
@@ -171,16 +183,15 @@ class RegexSolver:
                     self._warm_sources[regex] = (lazy, 0)
             return
         self._store_misses_n += 1
-        self._capture = (key, {})
+        self._capture = key
 
-    def _capture_fragment(self, regex):
-        """Store the rows a just-finished miss query captured.  Partial
+    def _capture_fragment(self, regex, rows):
+        """Store the rows a just-finished miss query expanded.  Partial
         captures (budget ran out, witness found early) are fine: each
         row is an independent fact about the derivative relation."""
         from repro.solver.store import build_fragment
 
-        key, rows = self._capture
-        self._capture = None
+        key, self._capture = self._capture, None
         if not rows:
             return
         fragment = build_fragment(
@@ -251,35 +262,32 @@ class RegexSolver:
             regex = target
         if self.store is not None:
             self._consult_store(regex)
-        recorder = ExplainRecorder(self) if self.explain else None
+        # every expanded state's full rows, this query only: a store
+        # miss captures them and an unsat explanation walks them
+        rows = {}
         try:
-            return self._answer(regex, budget, mark, recorder)
+            return self._answer(regex, budget, mark, rows)
         finally:
-            # store any rows a miss query captured — even on a budget
-            # or resource bailout, since partial captures are valid
+            # store the rows of a miss query — even on a budget or
+            # resource bailout, since partial captures are valid
             if self._capture is not None:
-                self._capture_fragment(regex)
+                self._capture_fragment(regex, rows)
 
-    def _answer(self, regex, budget, mark, recorder):
+    def _answer(self, regex, budget, mark, rows):
+        explain = self.explain
         # exceptions propagate *through* the span so the recorder writes
         # args["error"] (= "BudgetExceeded", "RecursionError", ...) on it
         try:
             with self._tracer.span("solver.explore", strategy=self.strategy):
-                witness = self._explore(regex, budget, recorder)
-        except BudgetExceeded as exc:
+                witness, steps = self._explore(regex, budget, rows)
+        except (BudgetExceeded, UnsupportedError) as exc:
+            # an UnsupportedError is defense in depth: any assertion
+            # that slipped past the elimination gate answers a typed
+            # unknown, never a wrong verdict
             return SolverResult(
                 UNKNOWN, reason=str(exc), stats=self._stats(mark, budget),
-                explanation=(recorder.unknown(regex, str(exc))
-                             if recorder else None),
-            )
-        except UnsupportedError as exc:
-            # defense in depth: any assertion that slipped past the
-            # elimination gate answers a typed unknown, never a wrong
-            # verdict
-            return SolverResult(
-                UNKNOWN, reason=str(exc), stats=self._stats(mark, budget),
-                explanation=(recorder.unknown(regex, str(exc))
-                             if recorder else None),
+                explanation=(Explanation.unknown(self, regex, str(exc))
+                             if explain else None),
             )
         except RESOURCE_ERRORS as exc:
             # pathological inputs (deeply nested regexes above all) can
@@ -296,24 +304,27 @@ class RegexSolver:
                 error=error_info(exc),
                 stats=stats,
                 explanation=(
-                    recorder.unknown(
-                        regex, "%s during exploration" % type(exc).__name__
-                    ) if recorder else None
+                    Explanation.unknown(
+                        self, regex,
+                        "%s during exploration" % type(exc).__name__,
+                    ) if explain else None
                 ),
             )
         if witness is None:
-            # the unsat certificate: the explored closure (states the
-            # bot rule skipped get their rows filled in from the
-            # memoized derivative trees)
+            # the unsat certificate: the closure over the query's rows
+            explanation = None
+            if explain:
+                explanation = Explanation.unsat(self, regex, rows)
+                self._proofs.add(explanation)
             return SolverResult(
                 UNSAT, stats=self._stats(mark, budget),
-                explanation=recorder.unsat(regex) if recorder else None,
+                explanation=explanation,
             )
         self._witnesses_n += 1
         return SolverResult(
             SAT, witness=witness, stats=self._stats(mark, budget),
-            explanation=(recorder.sat(regex, witness, recorder.sat_steps)
-                         if recorder else None),
+            explanation=(Explanation.sat(self, regex, witness, steps)
+                         if explain else None),
         )
 
     def is_empty(self, regex, budget=None):
@@ -386,24 +397,22 @@ class RegexSolver:
 
     # -- exploration -----------------------------------------------------------
 
-    def _explore(self, root, budget, recorder=None):
+    def _explore(self, root, budget, rows):
         """Lazy unfolding: BFS over derivative successors.
 
-        Returns a witness string if a nullable regex is reachable, or
-        None once the reachable space is exhausted (root is dead).
-        When ``recorder`` is set, every expanded state's full transition
-        rows are recorded and a sat verdict leaves its path steps on
-        ``recorder.sat_steps``.
+        Returns ``(witness, steps)`` if a nullable regex is reachable —
+        the witness string and its (state, guard, char, successor) path
+        from the root — or ``(None, None)`` once the reachable space is
+        exhausted (root is dead).  Every expanded state's full rows go
+        into ``rows`` (see :meth:`_edges`).
         """
         graph = self.graph
         graph.add_vertex(root)
         if root.nullable:
-            if recorder is not None:
-                recorder.sat_steps = []
-            return ""
+            return "", []
         # the bot rule: a regex already proved dead is unsat immediately
         if graph.is_dead(root):
-            return None
+            return None, None
         parent = {root: None}
         queue = deque([root])
         while queue:
@@ -412,7 +421,7 @@ class RegexSolver:
             self._explored_n += 1
             if graph.is_dead(vertex):
                 continue
-            edges = self._edges(vertex, recorder)
+            edges = self._edges(vertex, rows)
             all_targets = set()
             for _, successor_set in edges:
                 all_targets.update(successor_set)
@@ -423,14 +432,11 @@ class RegexSolver:
                     if target not in parent:
                         parent[target] = (vertex, char, guard)
                         if target.nullable:
-                            witness, steps = self._reconstruct(parent, target)
-                            if recorder is not None:
-                                recorder.sat_steps = steps
-                            return witness
+                            return self._reconstruct(parent, target)
                         queue.append(target)
-        return None
+        return None, None
 
-    def _edges(self, vertex, recorder=None):
+    def _edges(self, vertex, rows):
         """Group the derivative tree of ``vertex`` into transitions.
 
         Returns ``(guard, successors)`` pairs, one per non-bottom leaf
@@ -441,8 +447,9 @@ class RegexSolver:
         of dead-end detection).
 
         The full rows — bottom leaves included, so the guards cover the
-        whole domain — go to the recorder; the exploration loop only
-        sees the live ones.
+        whole domain — go into the query's ``rows`` table, which the
+        warm-store capture and the unsat explanation read; the
+        exploration loop only sees the live ones.
 
         With a warm store attached, rows instantiated from a fragment
         are used as-is (skipping the derivative build entirely);
@@ -451,19 +458,16 @@ class RegexSolver:
         witness — is identical between the capturing cold run and any
         warm replay of the fragment.
         """
-        rows = self._warm_rows.get(vertex) if self._warm_rows else None
-        if rows is None and self._warm_sources:
-            rows = self._materialize(vertex)
-        if rows is None:
-            rows = tuple(
+        full = self._warm_rows.get(vertex) if self._warm_rows else None
+        if full is None and self._warm_sources:
+            full = self._materialize(vertex)
+        if full is None:
+            full = tuple(
                 (guard, tuple(sorted(targets, key=_by_uid)))
                 for guard, targets in self.engine.transitions(vertex)
             )
-        if self._capture is not None:
-            self._capture[1][vertex] = rows
-        if recorder is not None:
-            recorder.record_rows(vertex, rows)
-        return [(guard, targets) for guard, targets in rows if targets]
+        rows[vertex] = full
+        return [(guard, targets) for guard, targets in full if targets]
 
     def _materialize(self, vertex):
         """Promote a lazily-held fragment state into live warm rows.

@@ -531,28 +531,48 @@ def test_replay_round_trip_through_capture(tmp_path):
     assert comparison["witness"] is not None
 
 
+SMT2_SAT = ('(declare-fun x () String)'
+            '(assert (str.in_re x (str.to_re "a")))(check-sat)')
+
+
 def test_capture_artifact_embeds_checked_certificate(tmp_path):
     """Slow concrete verdicts gain an independently checked proof."""
     from repro.obs.explain import check_certificate
 
-    path = capture_artifact(
-        str(tmp_path), pattern_task(name="proof", payload="(ab)*&b.*"),
-        {"status": "unsat", "elapsed": 2.0},
-        {"fuel": 100000, "seconds": 5.0, "max_char": 127},
-        worker="w0", pid=1, trigger="latency>=1.000s",
-    )
-    artifact = load_artifact(path)
-    cert = artifact["certificate"]
-    assert cert["status"] == "unsat"
-    assert cert["explanation"]["certificate_checked"] is True
-    assert check_certificate(cert["certificate"]).ok
+    for task, status in (
+        (pattern_task(name="proof", payload="(ab)*&b.*"), "unsat"),
+        (dict(pattern_task(name="script", index=1, payload=SMT2_SAT),
+              kind="smt2"), "sat"),
+    ):
+        path = capture_artifact(
+            str(tmp_path), task, {"status": status, "elapsed": 2.0},
+            {"fuel": 100000, "seconds": 5.0, "max_char": 127},
+            worker="w0", pid=1, trigger="latency>=1.000s",
+        )
+        cert = load_artifact(path)["certificate"]
+        assert cert["status"] == status
+        assert cert["explanation"]["certificate_checked"] is True
+        certificates = [cert["certificate"]]
+        if task["kind"] == "smt2":
+            # one certificate per variable of the satisfied case
+            certificates = [branch["certificate"]
+                            for branch in cert["certificate"]["branches"]]
+        assert certificates
+        assert all(check_certificate(c).ok for c in certificates)
 
 
 def test_capture_artifact_skips_certificates_for_unknowns(tmp_path):
-    path = capture_artifact(
-        str(tmp_path), pattern_task(name="vague", payload="(ab)*"),
-        {"status": "unknown", "reason": "fuel", "elapsed": 2.0},
-        {"fuel": 10, "seconds": 5.0, "max_char": 127},
-        worker="w0", pid=1, trigger="latency>=1.000s",
-    )
-    assert "certificate" not in load_artifact(path)
+    for task, out in (
+        (pattern_task(name="vague", payload="(ab)*"),
+         {"status": "unknown", "reason": "fuel", "elapsed": 2.0}),
+        # a bench cell has no certified form, whatever its verdict
+        ({"name": "cell", "index": 1, "kind": "bench", "attempts": 0,
+          "payload": {"engine": "sbd", "pattern": "(ab)*"}},
+         {"status": "sat", "elapsed": 2.0}),
+    ):
+        path = capture_artifact(
+            str(tmp_path), task, out,
+            {"fuel": 10, "seconds": 5.0, "max_char": 127},
+            worker="w0", pid=1, trigger="latency>=1.000s",
+        )
+        assert "certificate" not in load_artifact(path)
