@@ -7,7 +7,9 @@ median warm solve at least 2x faster than cold, every warm query a
 store hit, zero derivative work spent warm.  Then drives the CLI
 ``--store`` round-trip — capture on first run, warm hits on the
 second, ``store.hits``/``store.misses`` visible under ``--stats`` —
-and a two-worker pool pass sharing one snapshot file.
+a two-worker pool pass sharing one snapshot file, and corrupt
+snapshots (a cyclic program, ``"fragments": null``, an empty guard),
+each of which must still answer the cold ``sat`` within a wall bound.
 
 Run by CI next to the tier-1 suite::
 
@@ -17,20 +19,45 @@ Run by CI next to the tier-1 suite::
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+sys.path.insert(0, SRC)
 
 from repro.__main__ import main as cli_main
+from repro.alphabet import IntervalAlgebra
 from repro.bench.warm import (
     DEFAULT_SEED, DISTINCT_PATTERNS, run_warm_suite, zipf_workload,
 )
+from repro.regex import RegexBuilder, parse
 from repro.serve import Job, solve_batch
+from repro.solver import Budget, RegexSolver
+from repro.solver.store import SolverStore
 
 MIN_SPEEDUP = 2.0
+#: a corrupt snapshot must still get its answer within this many seconds
+CORRUPT_WALL_S = 10.0
+
+
+def _cyclic(snapshot):
+    snapshot["fragments"][0]["code"][0] = ["l", 0, 0, None]
+
+
+def _null_fragments(snapshot):
+    snapshot["fragments"] = None
+
+
+def _empty_guard(snapshot):
+    snapshot["fragments"][0]["rows"]["0"][0][0] = [[5, 2]]
+
+
+CORRUPTIONS = (
+    ("cyclic program", _cyclic),
+    ("null fragments", _null_fragments),
+    ("empty guard", _empty_guard),
+)
 
 
 def check(condition, message):
@@ -114,11 +141,44 @@ def smoke_pool(tmp):
     check(hits > 0, "warm pool pass hit the shared store (%d hits)" % hits)
 
 
+def smoke_corrupt(tmp):
+    print("corrupt snapshots: each check answers the cold verdict")
+    pattern = "(a|b)*abb"
+    builder = RegexBuilder(IntervalAlgebra())
+    capture = SolverStore()
+    RegexSolver(builder, store=capture).is_satisfiable(
+        parse(builder, pattern), Budget(fuel=100000, seconds=5.0)
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for name, corrupt in CORRUPTIONS:
+        snapshot = json.loads(json.dumps(capture.to_dict()))
+        corrupt(snapshot)
+        path = os.path.join(tmp, name.replace(" ", "_") + ".json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(snapshot, handle)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "--store", path, "check",
+                 pattern],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                universal_newlines=True, timeout=CORRUPT_WALL_S,
+            )
+        except subprocess.TimeoutExpired:
+            check(False, "%s: answered within %.0f s"
+                  % (name, CORRUPT_WALL_S))
+        check(done.returncode == 0
+              and done.stdout.splitlines()[:1] == ["sat"],
+              "%s: exit 0 with sat within %.0f s (exit %d, %r)"
+              % (name, CORRUPT_WALL_S, done.returncode,
+                 done.stdout.splitlines()[:1]))
+
+
 def main():
     smoke_suite()
     with tempfile.TemporaryDirectory() as tmp:
         smoke_cli(tmp)
         smoke_pool(tmp)
+        smoke_corrupt(tmp)
     print("smoke_store: all checks passed")
     return 0
 

@@ -127,7 +127,7 @@ class RegexSolver:
 
     def _store_roots(self):
         """Every node the warm rows reference — keys, successors, and
-        lazily-parsed-but-unmaterialized fragment states — so
+        lazily-decoded-but-unmaterialized fragment states — so
         compaction keeps fragment state reachable and uid-canonical."""
         roots = []
         for node, rows in self._warm_rows.items():
@@ -154,9 +154,9 @@ class RegexSolver:
         The lookup key is the printed pattern alone — cheaper than the
         full :func:`~repro.solver.store.canonical_pattern` roundtrip,
         and just as safe: a hit is only used after the fragment's root
-        re-interns to this very node, and a miss's capture is
-        roundtrip-checked state-by-state in ``build_fragment`` before
-        anything is stored.
+        decodes to this very node, and a miss's capture is stored only
+        after ``build_fragment`` has replayed its program on this
+        builder and got back every state's very node.
         """
         from repro.regex.printer import to_pattern
 
@@ -472,7 +472,7 @@ class RegexSolver:
     def _materialize(self, vertex):
         """Promote a lazily-held fragment state into live warm rows.
 
-        Materializing parses the state's successor texts and registers
+        Materializing decodes the state's successors and registers
         *them* as lazy sources, so the fragment unrolls exactly as far
         as exploration walks it.  Any decode failure degrades the
         state to a cold derivative build."""

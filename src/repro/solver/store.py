@@ -14,10 +14,11 @@ a solve produces anyway *portable*:
   fixpoint).  Two queries that intern to the same node — however they
   were spelled — share one key; a node whose rendering does not
   round-trip is simply uncacheable, never wrongly cached.
-* :func:`build_fragment` / :func:`instantiate_fragment` — serialize a
-  solved pattern's transition rows (state patterns plus guard ranges
-  plus successor indices, in recorded order) to a JSON-safe dict, and
-  rebuild them against any builder over an equivalent algebra.
+* :func:`build_fragment` / :class:`LazyFragment` — serialize a solved
+  pattern's transition rows (guard ranges plus successor indices, in
+  recorded order) and its states (a postorder program of builder calls)
+  to a JSON-safe dict, and rebuild them state by state against any
+  builder over an equivalent algebra.
 * :class:`SolverStore` — the keyed collection: lookup/insert with
   hit/miss counters, JSON save/load for shared read-only snapshots
   (serve workers load one on spawn — a warm restart instead of a cold
@@ -30,9 +31,18 @@ Correctness contract (see DESIGN.md "The warm store"):
   per-state transition rows — not verdicts; warm replay explores the
   same graph the cold path would build, so verdicts, witnesses and
   certificates are identical by construction;
-* every state pattern is round-trip checked at capture time
-  (``parse(print(node)) is node``); a fragment that fails the check is
-  discarded rather than stored;
+* the structural program (``code``/``slots``) is the one encoding of a
+  fragment's states; capture replays it through :class:`LazyFragment`
+  on the capturing builder and discards the fragment unless every state
+  decodes to the very node it was taken from — the check runs the route
+  warm replay uses, so a fragment is either exact or absent;
+* the program means what the smart constructors make of it, so any
+  change to a constructor's normal form bumps
+  :data:`STORE_SCHEMA_VERSION`;
+* a loaded state whose program or rows are malformed (an operand that
+  is not an earlier op, a slot or successor index out of range, an
+  empty guard) decodes to None and solves cold — never a hang, a crash
+  or a wrong automaton;
 * row order and successor order are preserved exactly as captured
   (successors uid-sorted at capture), so warm exploration visits
   states in the same order as the capturing cold run;
@@ -44,7 +54,7 @@ Correctness contract (see DESIGN.md "The warm store"):
 import json
 
 from repro.alphabet.algebra import pred_ranges
-from repro.errors import AlgebraError, ReproError
+from repro.errors import ReproError
 from repro.regex.ast import (
     COMPL, CONCAT, EMPTY, EPSILON, INTER, LOOP, PRED, UNION,
 )
@@ -55,10 +65,13 @@ from repro.regex.ast import (
 #: snapshots may key fragments under pattern texts that now parse to a
 #: different language (``\b`` in particular changed reading) — loading
 #: them would serve wrong automata for syntactically identical keys.
-STORE_SCHEMA_VERSION = 2
+#: v3: states are the structural program alone, checked by replay at
+#: capture; v2 programs were never checked.  Bump it with any change
+#: to a smart constructor's normal form.
+STORE_SCHEMA_VERSION = 3
 
 #: Fragments larger than this many states are not stored: the artifact
-#: size (and the warm-side parse cost) would rival a cold rebuild.
+#: size (and the warm-side decode cost) would rival a cold rebuild.
 DEFAULT_MAX_STATES = 512
 
 
@@ -89,12 +102,9 @@ def _encode_states(algebra, states):
 
     Returns ``(ops, slots)`` — ``ops[i]`` builds one node from earlier
     slots, ``slots[j]`` is the slot of state ``j`` — or None when a
-    node cannot be encoded.  The program exists because rebuilding a
-    state from its pattern *text* costs a full tokenizer/parser pass,
-    which profiles as the warm path's dominant cost; replaying builder
-    calls over pre-decoded ranges is an order of magnitude cheaper and
-    lands on the identical interned nodes (the smart constructors are
-    the normal form, however a node is reached).
+    node cannot be encoded.  Replaying the builder calls lands on the
+    identical interned nodes whenever the states are in the smart
+    constructors' normal form, which :func:`build_fragment` checks.
     """
     ops = []
     slots = {}
@@ -145,12 +155,10 @@ def build_fragment(builder, root, key, rows_by_node,
     the order the exploration used them.  Only states reachable from
     ``root`` through the captured rows are kept (the rest belong to
     other queries' closures).  Returns None when the fragment is too
-    large, a guard is unserializable, or any state fails the print →
-    parse round-trip check — a fragment is either exact or absent.
+    large, a guard or state is unserializable, or replaying the
+    program on ``builder`` does not give back every state's very node
+    — a fragment is either exact or absent.
     """
-    from repro.regex.parser import parse
-    from repro.regex.printer import to_pattern
-
     algebra = builder.algebra
     index = {root: 0}
     states = [root]
@@ -167,15 +175,6 @@ def build_fragment(builder, root, key, rows_by_node,
                         return None
                     index[target] = len(states)
                     states.append(target)
-    texts = []
-    for node in states:
-        try:
-            text = to_pattern(node, algebra)
-            if parse(builder, text) is not node:
-                return None
-        except (ReproError, RecursionError):
-            return None
-        texts.append(text)
     serialized = {}
     for node, rows in rows_by_node.items():
         idx = index.get(node)
@@ -188,61 +187,32 @@ def build_fragment(builder, root, key, rows_by_node,
                 return None
             out_rows.append([ranges, [index[t] for t in targets]])
         serialized[str(idx)] = out_rows
-    if not serialized:
+    encoded = _encode_states(algebra, states)
+    if not serialized or encoded is None:
         return None
     fragment = {
         "key": key,
         "algebra": repr(algebra),
-        "states": texts,
         "rows": serialized,
+        "code": encoded[0],
+        "slots": encoded[1],
     }
-    encoded = _encode_states(algebra, states)
-    if encoded is not None:
-        fragment["code"], fragment["slots"] = encoded
+    replay = LazyFragment(builder, fragment)
+    for idx, node in enumerate(states):
+        if replay.node(idx) is not node:
+            return None
     return fragment
-
-
-def instantiate_fragment(builder, fragment):
-    """Rebuild a fragment's rows against ``builder``.
-
-    Returns ``{node: ((guard, successor-tuple), ...), ...}`` — full
-    rows in recorded order — or None when any state no longer parses
-    (a stale snapshot over a changed grammar degrades to a cold solve,
-    never to a wrong one).
-    """
-    from repro.regex.parser import parse
-
-    algebra = builder.algebra
-    try:
-        nodes = [parse(builder, text) for text in fragment["states"]]
-    except (ReproError, RecursionError):
-        return None
-    out = {}
-    try:
-        for idx, rows in fragment["rows"].items():
-            node = nodes[int(idx)]
-            out[node] = tuple(
-                (
-                    algebra.from_ranges([(lo, hi) for lo, hi in ranges]),
-                    tuple(nodes[t] for t in targets),
-                )
-                for ranges, targets in rows
-            )
-    except (ReproError, IndexError, KeyError, TypeError, ValueError):
-        return None
-    return out
 
 
 class LazyFragment:
     """Per-state, on-demand instantiation of one fragment.
 
-    Rebuilding a whole fragment eagerly parses every captured state —
-    which can cost *more* than a cold solve that finds its witness two
-    expansions in.  This wrapper parses exactly what exploration
-    touches: materializing one state's rows parses that state's
-    successor texts (needed anyway — they are the next frontier) and
-    nothing else, so the warm path's work is proportional to the
-    explored prefix, just like the cold path's.
+    Rebuilding a whole fragment eagerly can cost *more* than a cold
+    solve that finds its witness two expansions in.  This wrapper
+    decodes exactly what exploration touches: materializing one state's
+    rows decodes that state's successors (needed anyway — they are the
+    next frontier) and nothing else, so the warm path's work is
+    proportional to the explored prefix, just like the cold path's.
     """
 
     __slots__ = ("builder", "fragment", "_nodes", "_values")
@@ -255,18 +225,10 @@ class LazyFragment:
         self._values = {}
 
     def node(self, idx):
-        """The interned node of state ``idx``, rebuilt on first use;
-        None when the state no longer decodes (stale snapshot over a
-        changed grammar — degrade to a cold solve, never a wrong one).
-
-        Fragments carry two rebuilding routes: the structural program
-        (``code``/``slots`` — direct builder calls over pre-decoded
-        ranges, the fast path) and the pattern texts (``states`` — the
-        roundtrip-checked, human-readable fallback for snapshots
-        written before the program existed or whose program fails).
-        Both land on the same interned node: the smart constructors
-        are the normal form.
-        """
+        """The interned node of state ``idx``, rebuilt on first use
+        from the structural program; None when the state does not
+        decode (a malformed snapshot degrades to a cold solve, never a
+        wrong one or a hang)."""
         node = self._nodes.get(idx)
         if node is None:
             node = self._decode(idx)
@@ -276,24 +238,19 @@ class LazyFragment:
         return node
 
     def _decode(self, idx):
-        fragment = self.fragment
-        slots = fragment.get("slots")
-        if slots is not None and 0 <= idx < len(slots):
-            try:
-                return self._eval_slot(slots[idx])
-            except (AlgebraError, IndexError, KeyError, TypeError,
-                    ValueError):
-                pass
-        from repro.regex.parser import parse
-
+        slots = self.fragment["slots"]
         try:
-            return parse(self.builder, fragment["states"][idx])
-        except (ReproError, RecursionError, IndexError):
+            if not 0 <= idx < len(slots):
+                return None
+            return self._eval_slot(slots[idx])
+        except (ReproError, IndexError, KeyError, TypeError, ValueError):
             return None
 
     def _eval_slot(self, slot):
         """Run the structural program up to ``slot`` (iterative, memoized
-        per slot — shared subterms across states evaluate once)."""
+        per slot — shared subterms across states evaluate once).  Every
+        operand must name an earlier op, as the postorder encoding
+        guarantees, so a corrupt program cannot loop."""
         values = self._values
         node = values.get(slot)
         if node is not None:
@@ -301,6 +258,8 @@ class LazyFragment:
         builder = self.builder
         algebra = builder.algebra
         ops = self.fragment["code"]
+        if not 0 <= slot < len(ops):
+            raise IndexError("slot %r outside the program" % (slot,))
         stack = [slot]
         while stack:
             idx = stack[-1]
@@ -310,11 +269,20 @@ class LazyFragment:
             op = ops[idx]
             tag = op[0]
             if tag in ("c", "u", "i"):
-                pending = [c for c in op[1] if c not in values]
+                operands = op[1]
             elif tag in ("n", "l"):
-                pending = [] if op[1] in values else [op[1]]
+                operands = (op[1],)
             else:
-                pending = []
+                operands = ()
+            pending = []
+            for operand in operands:
+                if not 0 <= operand < idx:
+                    raise IndexError(
+                        "op %d reads slot %r, not an earlier one"
+                        % (idx, operand)
+                    )
+                if operand not in values:
+                    pending.append(operand)
             if pending:
                 stack.extend(pending)
                 continue
@@ -342,14 +310,16 @@ class LazyFragment:
         return values[slot]
 
     def row_targets(self, idx):
-        """The raw serialized rows of state ``idx`` (or None when that
-        state was never captured)."""
-        return self.fragment["rows"].get(str(idx))
+        """The raw serialized rows of state ``idx``, or None when that
+        state was never captured or its rows are not a list."""
+        raw = self.fragment["rows"].get(str(idx))
+        return raw if isinstance(raw, list) else None
 
     def rows_for(self, idx):
         """Materialize state ``idx``'s full rows —
         ``((guard, successor-tuple), ...)`` in recorded order — or None
-        when the state was not captured or no longer decodes."""
+        when the state was not captured or does not decode.  Captured
+        guards are satisfiable, so an empty one is a decode failure."""
         raw = self.row_targets(idx)
         if raw is None:
             return None
@@ -358,6 +328,8 @@ class LazyFragment:
         try:
             for ranges, targets in raw:
                 guard = algebra.from_ranges([(lo, hi) for lo, hi in ranges])
+                if guard == algebra.bot:
+                    return None
                 nodes = []
                 for target in targets:
                     node = self.node(target)
@@ -368,6 +340,20 @@ class LazyFragment:
         except (ReproError, TypeError, ValueError, KeyError):
             return None
         return tuple(out)
+
+
+def _well_formed(fragment):
+    """Does ``fragment`` have the v3 shape?  What lies inside ``rows``,
+    ``code`` and ``slots`` is checked per state as it decodes
+    (:class:`LazyFragment`), so loading stays linear in fragments."""
+    return (
+        isinstance(fragment, dict)
+        and isinstance(fragment.get("key"), str)
+        and isinstance(fragment.get("algebra"), str)
+        and isinstance(fragment.get("rows"), dict)
+        and isinstance(fragment.get("code"), list)
+        and isinstance(fragment.get("slots"), list)
+    )
 
 
 class SolverStore:
@@ -436,7 +422,7 @@ class SolverStore:
     def from_dict(self, data):
         """Load fragments from :meth:`to_dict` output (additive; loaded
         fragments do not count as new).  Raises ValueError on a
-        malformed or future-schema payload."""
+        malformed or other-schema payload, before loading any of it."""
         if not isinstance(data, dict):
             raise ValueError("store payload is not a mapping")
         if data.get("v", 0) != STORE_SCHEMA_VERSION:
@@ -444,10 +430,11 @@ class SolverStore:
                 "store schema %r does not match %d"
                 % (data.get("v"), STORE_SCHEMA_VERSION)
             )
-        for fragment in data.get("fragments", ()):
-            if not isinstance(fragment, dict) or "key" not in fragment \
-                    or "algebra" not in fragment or "states" not in fragment:
-                raise ValueError("malformed store fragment")
+        fragments = data.get("fragments")
+        if not isinstance(fragments, list) \
+                or not all(map(_well_formed, fragments)):
+            raise ValueError("malformed store fragments")
+        for fragment in fragments:
             self._fragments.setdefault(
                 (fragment["algebra"], fragment["key"]), fragment
             )
@@ -507,9 +494,10 @@ class SolverStore:
         A snapshot with a *different schema version* is also a clean
         cold start, not an error: the v1→v2 bump changed what pattern
         texts mean (zero-width assertions), so serving v1 fragments
-        under v2 keys could answer with the wrong automaton.  Starting
-        cold is always correct, merely slower; the next save rewrites
-        the file at the current version.
+        under v2 keys could answer with the wrong automaton, and v2
+        programs were never checked by replay.  Starting cold is always
+        correct, merely slower; the next save rewrites the file at the
+        current version.
         """
         try:
             with open(path, "r", encoding="utf-8") as handle:

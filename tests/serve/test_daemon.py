@@ -19,7 +19,7 @@ from repro.serve.client import DaemonClient, DaemonError
 from repro.serve.daemon import SolverDaemon
 from repro.solver.engine import RegexSolver
 from repro.solver.result import Budget
-from repro.solver.store import SolverStore
+from repro.solver.store import LazyFragment, SolverStore
 
 BUDGET = {"fuel": 100000, "seconds": 5.0}
 
@@ -365,9 +365,10 @@ class TestTrustBoundary:
         )
         snapshot = store.to_dict()
         (fragment,) = snapshot["fragments"]
+        lazy = LazyFragment(builder, fragment)
         nullable = next(
-            idx for idx, text in enumerate(fragment["states"])
-            if parse(builder, text).nullable
+            idx for idx in range(len(fragment["slots"]))
+            if lazy.node(idx).nullable
         )
         row = next(idx for idx in sorted(fragment["rows"]) if idx != "0")
         for _ranges, targets in fragment["rows"][row]:

@@ -17,14 +17,15 @@ import pytest
 
 from repro.alphabet import BDDAlgebra, IntervalAlgebra
 from repro.regex import RegexBuilder, parse, to_pattern
+from repro.solver import store as store_module
 from repro.solver.engine import RegexSolver
 from repro.solver.lifecycle import CompactionPolicy
 from repro.solver.store import (
     STORE_SCHEMA_VERSION,
+    LazyFragment,
     SolverStore,
     build_fragment,
     canonical_pattern,
-    instantiate_fragment,
 )
 
 
@@ -72,10 +73,14 @@ def test_fragment_roundtrips_through_fresh_builder():
     # the key is the *canonical* spelling ((a|b) interns to the class
     # [ab]), not whatever the query happened to type
     assert fragment["key"] == "[ab]*abb"
-    # instantiate against a brand-new builder: same states, same rows
+    # decode against a brand-new builder: same states, same rows
     fresh = RegexBuilder(IntervalAlgebra(127))
-    rows = instantiate_fragment(fresh, fragment)
-    assert rows is not None
+    lazy = LazyFragment(fresh, fragment)
+    rows = {
+        lazy.node(int(idx)): lazy.rows_for(int(idx))
+        for idx in fragment["rows"]
+    }
+    assert None not in rows and None not in rows.values()
     root = parse(fresh, fragment["key"])
     assert root in rows
     for node, node_rows in rows.items():
@@ -94,6 +99,29 @@ def test_fragment_too_many_states_is_not_built():
     assert rows, "capture left no rows to rebuild from"
     assert build_fragment(builder, regex, key, rows, max_states=1) is None
     assert build_fragment(builder, regex, key, rows) is not None
+
+
+def test_capture_stores_only_a_program_that_replays(monkeypatch):
+    # the program is the one encoding of the states: capture replays
+    # it on the capturing builder, and a program that lands on other
+    # nodes (here two states' slots swapped) is never stored
+    store = SolverStore()
+    builder, solver, _ = _solve_capturing(store, "(a|b)*abb")
+    regex = parse(builder, "[ab]*abb")
+    rows = solver._warm_rows
+    encode = store_module._encode_states
+
+    def swapped(algebra, states):
+        ops, slots = encode(algebra, states)
+        slots[0], slots[1] = slots[1], slots[0]
+        return ops, slots
+
+    monkeypatch.setattr(store_module, "_encode_states", swapped)
+    assert build_fragment(builder, regex, "[ab]*abb", rows) is None
+    fresh = SolverStore()
+    _, _, result = _solve_capturing(fresh, "(a|b)*abb")
+    assert result.is_sat
+    assert len(fresh) == 0
 
 
 def test_fragment_json_safe():
@@ -125,15 +153,21 @@ def test_insert_is_first_write_wins():
     assert store.lookup("alg", "k")["states"] == ["k"]
 
 
+def _fragment(key):
+    """A minimal well-shaped fragment: one epsilon state, no rows."""
+    return {"key": key, "algebra": "alg", "rows": {}, "code": [["e"]],
+            "slots": [0]}
+
+
 def test_export_new_excludes_loaded(tmp_path):
     store = SolverStore()
-    store.insert({"key": "a", "algebra": "alg", "states": ["a"], "rows": {}})
+    store.insert(_fragment("a"))
     path = store.save(str(tmp_path / "store.json"))
     loaded = SolverStore()
     loaded.load(path)
     assert len(loaded) == 1
     assert loaded.export_new() == []
-    loaded.insert({"key": "b", "algebra": "alg", "states": ["b"], "rows": {}})
+    loaded.insert(_fragment("b"))
     assert [f["key"] for f in loaded.export_new()] == ["b"]
 
 
@@ -147,7 +181,7 @@ def test_schema_mismatch_is_clean_cold_start(tmp_path):
     # any other schema version (older *or* newer) loads as an empty
     # store: starting cold is always correct, serving mis-keyed
     # fragments is not.  from_dict stays strict for programmatic use.
-    for version in (1, 999):
+    for version in (1, 2, 999):
         path = tmp_path / ("schema-%d.json" % version)
         path.write_text(json.dumps({"v": version, "fragments": []}))
         store = SolverStore().load(str(path))

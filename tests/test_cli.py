@@ -482,7 +482,7 @@ def test_check_store_corrupt_row_is_replayed_to_unknown(capsys, tmp_path):
     from repro.alphabet import IntervalAlgebra
     from repro.regex import RegexBuilder, parse
     from repro.solver import Budget, RegexSolver
-    from repro.solver.store import SolverStore
+    from repro.solver.store import LazyFragment, SolverStore
 
     pattern = "a{3}b"
     builder = RegexBuilder(IntervalAlgebra())
@@ -492,9 +492,10 @@ def test_check_store_corrupt_row_is_replayed_to_unknown(capsys, tmp_path):
     )
     snapshot = store.to_dict()
     (fragment,) = snapshot["fragments"]
+    lazy = LazyFragment(builder, fragment)
     nullable = next(
-        idx for idx, text in enumerate(fragment["states"])
-        if parse(builder, text).nullable
+        idx for idx in range(len(fragment["slots"]))
+        if lazy.node(idx).nullable
     )
     row = next(idx for idx in sorted(fragment["rows"]) if idx != "0")
     for _ranges, targets in fragment["rows"][row]:
