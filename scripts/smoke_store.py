@@ -8,8 +8,9 @@ store hit, zero derivative work spent warm.  Then drives the CLI
 ``--store`` round-trip — capture on first run, warm hits on the
 second, ``store.hits``/``store.misses`` visible under ``--stats`` —
 a two-worker pool pass sharing one snapshot file, and corrupt
-snapshots (a cyclic program, ``"fragments": null``, an empty guard),
-each of which must still answer the cold ``sat`` within a wall bound.
+snapshots (a cyclic program, ``"fragments": null``, an empty guard, a
+guard index out of range, a negative guard index), each of which must
+still answer the cold ``sat`` within a wall bound.
 
 Run by CI next to the tier-1 suite::
 
@@ -50,13 +51,26 @@ def _null_fragments(snapshot):
 
 
 def _empty_guard(snapshot):
-    snapshot["fragments"][0]["rows"]["0"][0][0] = [[5, 2]]
+    fragment = snapshot["fragments"][0]
+    row = fragment["rows"]["0"][0]
+    fragment["guards"][row[0]] = [[5, 2]]
+
+
+def _guard_out_of_range(snapshot):
+    fragment = snapshot["fragments"][0]
+    fragment["rows"]["0"][0][0] = len(fragment["guards"])
+
+
+def _negative_guard(snapshot):
+    snapshot["fragments"][0]["rows"]["0"][0][0] = -1
 
 
 CORRUPTIONS = (
     ("cyclic program", _cyclic),
     ("null fragments", _null_fragments),
     ("empty guard", _empty_guard),
+    ("guard index out of range", _guard_out_of_range),
+    ("negative guard", _negative_guard),
 )
 
 

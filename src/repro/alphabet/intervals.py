@@ -288,14 +288,28 @@ class IntervalAlgebra(BooleanAlgebra):
         return self._canonical(CharSet(((code, code),)))
 
     def from_ranges(self, ranges):
+        """The canonical set of arbitrary inclusive ``(lo, hi)`` pairs,
+        each clipped to ``[0, max_code]``.  One linear pass: pairs that
+        arrive sorted, disjoint and non-adjacent (as ``pred_ranges``
+        writes them) are taken as they are; any others are normalized."""
+        max_code = self.max_code
         pairs = []
+        sorted_apart = True
+        last = -2
         for lo, hi in ranges:
             lo, hi = _as_codepoint(lo), _as_codepoint(hi)
-            if hi > self.max_code:
-                hi = self.max_code
+            if lo < 0:
+                lo = 0
+            if hi > max_code:
+                hi = max_code
             if lo <= hi:
+                if lo <= last + 1:
+                    sorted_apart = False
+                last = hi
                 pairs.append((lo, hi))
-        return self._canonical(CharSet.normalize(pairs))
+        return self._canonical(
+            CharSet(pairs) if sorted_apart else CharSet.normalize(pairs)
+        )
 
     def from_chars(self, chars):
         """Predicate for a finite set of characters; every one must lie

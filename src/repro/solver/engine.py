@@ -484,7 +484,7 @@ class RegexSolver:
         if rows is None:
             return None
         self._warm_rows[vertex] = rows
-        for _ranges, targets in lazy.row_targets(idx):
+        for _guard, targets in lazy.row_targets(idx):
             for target_idx in targets:
                 node = lazy.node(target_idx)
                 if (node is not None and node not in self._warm_rows

@@ -15,10 +15,11 @@ a solve produces anyway *portable*:
   were spelled — share one key; a node whose rendering does not
   round-trip is simply uncacheable, never wrongly cached.
 * :func:`build_fragment` / :class:`LazyFragment` — serialize a solved
-  pattern's transition rows (guard ranges plus successor indices, in
-  recorded order) and its states (a postorder program of builder calls)
-  to a JSON-safe dict, and rebuild them state by state against any
-  builder over an equivalent algebra.
+  pattern's transition rows (guard-table indices plus successor
+  indices, in recorded order), its states (a postorder program of
+  builder calls) and one table of its distinct guards to a JSON-safe
+  dict, and rebuild them state by state against any builder over an
+  equivalent algebra.
 * :class:`SolverStore` — the keyed collection: lookup/insert with
   hit/miss counters, JSON save/load for shared read-only snapshots
   (serve workers load one on spawn — a warm restart instead of a cold
@@ -40,15 +41,21 @@ Correctness contract (see DESIGN.md "The warm store"):
   change to a constructor's normal form bumps
   :data:`STORE_SCHEMA_VERSION`;
 * a loaded state whose program or rows are malformed (an operand that
-  is not an earlier op, a slot or successor index out of range, an
-  empty guard) decodes to None and solves cold — never a hang, a crash
-  or a wrong automaton;
+  is not an earlier op, a slot, successor or guard index out of range,
+  a guard entry that is not canonical) decodes to None and solves cold
+  — never a hang, a crash or a wrong automaton;
 * row order and successor order are preserved exactly as captured
   (successors uid-sorted at capture), so warm exploration visits
   states in the same order as the capturing cold run;
-* guards are serialized as codepoint ranges and rebuilt through the
-  consuming algebra's ``from_ranges``, keyed by the algebra's ``repr``
-  — a fragment can never be instantiated against a different domain.
+* each distinct guard is serialized once, as the codepoint ranges
+  ``pred_ranges`` writes, in the fragment's ``guards`` table; rows and
+  predicate ops refer to it by index.  An entry is decoded through the
+  consuming algebra's ``from_ranges`` the first time a query uses it,
+  and accepted only when it is non-empty and exactly ``pred_ranges``
+  of the guard it decodes to (sorted, disjoint, non-adjacent, in
+  domain) — the guard-level twin of capture's replay check;
+* fragments are keyed by the algebra's ``repr`` — a fragment can never
+  be instantiated against a different domain.
 """
 
 import json
@@ -66,9 +73,11 @@ from repro.regex.ast import (
 #: different language (``\b`` in particular changed reading) — loading
 #: them would serve wrong automata for syntactically identical keys.
 #: v3: states are the structural program alone, checked by replay at
-#: capture; v2 programs were never checked.  Bump it with any change
-#: to a smart constructor's normal form.
-STORE_SCHEMA_VERSION = 3
+#: capture; v2 programs were never checked.  v4: a fragment's distinct
+#: guards sit once in its ``guards`` table, and rows and predicate ops
+#: refer to them by index.  Bump it with any change to a smart
+#: constructor's normal form.
+STORE_SCHEMA_VERSION = 4
 
 #: Fragments larger than this many states are not stored: the artifact
 #: size (and the warm-side decode cost) would rival a cold rebuild.
@@ -97,12 +106,14 @@ def canonical_pattern(builder, regex):
     return text
 
 
-def _encode_states(algebra, states):
+def _encode_states(states, guards):
     """Compile the states' shared DAG into a flat postorder program.
 
     Returns ``(ops, slots)`` — ``ops[i]`` builds one node from earlier
     slots, ``slots[j]`` is the slot of state ``j`` — or None when a
-    node cannot be encoded.  Replaying the builder calls lands on the
+    node cannot be encoded.  ``guards`` maps each predicate met so far
+    to its guard-table index, in first-use order; a predicate op adds
+    its predicate there.  Replaying the builder calls lands on the
     identical interned nodes whenever the states are in the smart
     constructors' normal form, which :func:`build_fragment` checks.
     """
@@ -121,10 +132,7 @@ def _encode_states(algebra, states):
         stack.pop()
         kind = node.kind
         if kind == PRED:
-            ranges = pred_ranges(algebra, node.pred)
-            if ranges is None:
-                return None
-            op = ["p", ranges]
+            op = ["p", guards.setdefault(node.pred, len(guards))]
         elif kind == EPSILON:
             op = ["e"]
         elif kind == EMPTY:
@@ -154,7 +162,9 @@ def build_fragment(builder, root, key, rows_by_node,
     rows — ``(guard, successor-tuple)`` pairs, bottom rows included, in
     the order the exploration used them.  Only states reachable from
     ``root`` through the captured rows are kept (the rest belong to
-    other queries' closures).  Returns None when the fragment is too
+    other queries' closures).  Rows and predicate ops name their guard
+    by index into the fragment's ``guards`` table, which holds each
+    distinct guard's ranges once.  Returns None when the fragment is too
     large, a guard or state is unserializable, or replaying the
     program on ``builder`` does not give back every state's very node
     — a fragment is either exact or absent.
@@ -175,24 +185,27 @@ def build_fragment(builder, root, key, rows_by_node,
                         return None
                     index[target] = len(states)
                     states.append(target)
+    guards = {}
     serialized = {}
     for node, rows in rows_by_node.items():
         idx = index.get(node)
         if idx is None:
             continue
-        out_rows = []
-        for guard, targets in rows:
-            ranges = pred_ranges(algebra, guard)
-            if ranges is None:
-                return None
-            out_rows.append([ranges, [index[t] for t in targets]])
-        serialized[str(idx)] = out_rows
-    encoded = _encode_states(algebra, states)
+        serialized[str(idx)] = [
+            [guards.setdefault(guard, len(guards)),
+             [index[t] for t in targets]]
+            for guard, targets in rows
+        ]
+    encoded = _encode_states(states, guards)
     if not serialized or encoded is None:
+        return None
+    table = [pred_ranges(algebra, guard) for guard in guards]
+    if None in table:
         return None
     fragment = {
         "key": key,
         "algebra": repr(algebra),
+        "guards": table,
         "rows": serialized,
         "code": encoded[0],
         "slots": encoded[1],
@@ -213,9 +226,10 @@ class LazyFragment:
     rows decodes that state's successors (needed anyway — they are the
     next frontier) and nothing else, so the warm path's work is
     proportional to the explored prefix, just like the cold path's.
+    Guards decode the same way: each table entry once, on first use.
     """
 
-    __slots__ = ("builder", "fragment", "_nodes", "_values")
+    __slots__ = ("builder", "fragment", "_nodes", "_values", "_guards")
 
     def __init__(self, builder, fragment):
         self.builder = builder
@@ -223,6 +237,8 @@ class LazyFragment:
         self._nodes = {}
         #: per-slot node cache for the structural program
         self._values = {}
+        #: guard-table index -> decoded predicate
+        self._guards = {}
 
     def node(self, idx):
         """The interned node of state ``idx``, rebuilt on first use
@@ -246,6 +262,25 @@ class LazyFragment:
         except (ReproError, IndexError, KeyError, TypeError, ValueError):
             return None
 
+    def _guard(self, ref):
+        """The predicate of guard-table entry ``ref``, decoded on first
+        use.  Capture writes each entry as ``pred_ranges`` of its guard,
+        so an entry that is empty or is not exactly ``pred_ranges`` of
+        what it decodes to (unsorted, overlapping, adjacent, out of
+        domain) raises ValueError, as does a negative index; an index
+        past the table raises IndexError."""
+        guard = self._guards.get(ref)
+        if guard is None:
+            if ref < 0:
+                raise ValueError("negative guard index %r" % (ref,))
+            ranges = self.fragment["guards"][ref]
+            algebra = self.builder.algebra
+            guard = algebra.from_ranges(ranges)
+            if not ranges or pred_ranges(algebra, guard) != ranges:
+                raise ValueError("guard %d is not canonical" % ref)
+            self._guards[ref] = guard
+        return guard
+
     def _eval_slot(self, slot):
         """Run the structural program up to ``slot`` (iterative, memoized
         per slot — shared subterms across states evaluate once).  Every
@@ -256,7 +291,6 @@ class LazyFragment:
         if node is not None:
             return node
         builder = self.builder
-        algebra = builder.algebra
         ops = self.fragment["code"]
         if not 0 <= slot < len(ops):
             raise IndexError("slot %r outside the program" % (slot,))
@@ -288,9 +322,7 @@ class LazyFragment:
                 continue
             stack.pop()
             if tag == "p":
-                values[idx] = builder.pred(
-                    algebra.from_ranges([(lo, hi) for lo, hi in op[1]])
-                )
+                values[idx] = builder.pred(self._guard(op[1]))
             elif tag == "e":
                 values[idx] = builder.epsilon
             elif tag == "E":
@@ -318,18 +350,15 @@ class LazyFragment:
     def rows_for(self, idx):
         """Materialize state ``idx``'s full rows —
         ``((guard, successor-tuple), ...)`` in recorded order — or None
-        when the state was not captured or does not decode.  Captured
-        guards are satisfiable, so an empty one is a decode failure."""
+        when the state was not captured or does not decode (a guard
+        index or entry :meth:`_guard` rejects included)."""
         raw = self.row_targets(idx)
         if raw is None:
             return None
-        algebra = self.builder.algebra
         out = []
         try:
-            for ranges, targets in raw:
-                guard = algebra.from_ranges([(lo, hi) for lo, hi in ranges])
-                if guard == algebra.bot:
-                    return None
+            for ref, targets in raw:
+                guard = self._guard(ref)
                 nodes = []
                 for target in targets:
                     node = self.node(target)
@@ -337,19 +366,20 @@ class LazyFragment:
                         return None
                     nodes.append(node)
                 out.append((guard, tuple(nodes)))
-        except (ReproError, TypeError, ValueError, KeyError):
+        except (ReproError, IndexError, KeyError, TypeError, ValueError):
             return None
         return tuple(out)
 
 
 def _well_formed(fragment):
-    """Does ``fragment`` have the v3 shape?  What lies inside ``rows``,
-    ``code`` and ``slots`` is checked per state as it decodes
+    """Does ``fragment`` have the v4 shape?  What lies inside ``guards``,
+    ``rows``, ``code`` and ``slots`` is checked per state as it decodes
     (:class:`LazyFragment`), so loading stays linear in fragments."""
     return (
         isinstance(fragment, dict)
         and isinstance(fragment.get("key"), str)
         and isinstance(fragment.get("algebra"), str)
+        and isinstance(fragment.get("guards"), list)
         and isinstance(fragment.get("rows"), dict)
         and isinstance(fragment.get("code"), list)
         and isinstance(fragment.get("slots"), list)

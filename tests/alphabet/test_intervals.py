@@ -178,6 +178,12 @@ small_range_sets = st.lists(
     max_size=4,
 )
 
+#: a range bound as ``from_ranges`` may receive one: negative, past the
+#: domain, or a one-character string
+loose_bounds = st.one_of(
+    st.integers(-10, SMALL + 10), st.integers(0, SMALL + 10).map(chr),
+)
+
 
 class TestCanonicalCaches:
     """The unique table and operation caches change no result: every
@@ -236,6 +242,21 @@ class TestCanonicalCaches:
             assert a is alg.bot
         if to_set(a) == set(range(SMALL + 1)):
             assert a is alg.top
+
+    @given(st.lists(st.tuples(loose_bounds, loose_bounds), max_size=6))
+    def test_from_ranges_normalizes_clipped_pairs(self, pairs):
+        # arbitrary pairs: unsorted, overlapping, adjacent, empty,
+        # negative, past max_code, one-character string bounds
+        alg = IntervalAlgebra(SMALL)
+        codes = [[ord(b) if isinstance(b, str) else b for b in pair]
+                 for pair in pairs]
+        expected = CharSet.normalize(
+            (max(lo, 0), min(hi, SMALL)) for lo, hi in codes
+        )
+        result = alg.from_ranges(pairs)
+        assert result == expected
+        assert alg.from_ranges(pairs) is result
+        assert alg.from_ranges(result.ranges) is result
 
     def test_counters_count_requests_not_misses(self):
         alg = IntervalAlgebra(SMALL)

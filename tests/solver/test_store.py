@@ -111,8 +111,8 @@ def test_capture_stores_only_a_program_that_replays(monkeypatch):
     rows = solver._warm_rows
     encode = store_module._encode_states
 
-    def swapped(algebra, states):
-        ops, slots = encode(algebra, states)
+    def swapped(states, guards):
+        ops, slots = encode(states, guards)
         slots[0], slots[1] = slots[1], slots[0]
         return ops, slots
 
@@ -122,6 +122,24 @@ def test_capture_stores_only_a_program_that_replays(monkeypatch):
     _, _, result = _solve_capturing(fresh, "(a|b)*abb")
     assert result.is_sat
     assert len(fresh) == 0
+
+
+def test_fragment_guard_table_is_distinct_and_indexed():
+    # each distinct guard sits once in the table, and every row and
+    # predicate op names an entry of it
+    store = SolverStore()
+    for pattern in ("(a|b)*abb", "~(a*)&(a|b)+", "[a-c]x|[b-d]y"):
+        _solve_capturing(store, pattern)
+    for fragment in store.export_new():
+        guards = fragment["guards"]
+        assert guards
+        assert len({json.dumps(g) for g in guards}) == len(guards)
+        refs = [ref for rows in fragment["rows"].values()
+                for ref, _targets in rows]
+        refs += [op[1] for op in fragment["code"] if op[0] == "p"]
+        assert refs
+        assert all(isinstance(r, int) and 0 <= r < len(guards)
+                   for r in refs)
 
 
 def test_fragment_json_safe():
@@ -155,8 +173,8 @@ def test_insert_is_first_write_wins():
 
 def _fragment(key):
     """A minimal well-shaped fragment: one epsilon state, no rows."""
-    return {"key": key, "algebra": "alg", "rows": {}, "code": [["e"]],
-            "slots": [0]}
+    return {"key": key, "algebra": "alg", "guards": [], "rows": {},
+            "code": [["e"]], "slots": [0]}
 
 
 def test_export_new_excludes_loaded(tmp_path):
@@ -181,7 +199,7 @@ def test_schema_mismatch_is_clean_cold_start(tmp_path):
     # any other schema version (older *or* newer) loads as an empty
     # store: starting cold is always correct, serving mis-keyed
     # fragments is not.  from_dict stays strict for programmatic use.
-    for version in (1, 2, 999):
+    for version in (1, 2, 3, 999):
         path = tmp_path / ("schema-%d.json" % version)
         path.write_text(json.dumps({"v": version, "fragments": []}))
         store = SolverStore().load(str(path))

@@ -2,9 +2,10 @@
 
 A snapshot is untrusted input.  A malformed shape fails ``from_dict``
 with ValueError, which the CLI and the pool workers turn into a clean
-cold start; a well-shaped fragment whose program or rows do not decode
-(a cyclic or out-of-range slot, an empty guard, a state's rows that
-are not a list) decodes that state to
+cold start; a well-shaped fragment whose program, rows or guard table
+do not decode (a cyclic or out-of-range slot, a guard index out of
+range, a guard entry that is empty, unsorted, adjacent or out of the
+domain, a state's rows that are not a list) decodes that state to
 None, and the query solves cold.  Either way the answer is the cold
 verdict and witness: never a hang, a traceback or a dead worker.  The
 CLI runs in a subprocess under a wall bound, so a regression to the
@@ -63,8 +64,56 @@ def _target_out_of_range(snapshot):
     fragment["rows"]["0"][0][1] = [len(fragment["slots"])]
 
 
+def _row_guard(fragment):
+    """A row of state 0 whose guard no predicate op shares, so that
+    corrupting its table entry leaves state 0's node decodable."""
+    shared = {op[1] for op in fragment["code"] if op[0] == "p"}
+    return next(row for row in fragment["rows"]["0"] if row[0] not in shared)
+
+
+def _set_row_guard(snapshot, ranges):
+    fragment = snapshot["fragments"][0]
+    fragment["guards"][_row_guard(fragment)[0]] = ranges
+
+
 def _empty_guard(snapshot):
-    snapshot["fragments"][0]["rows"]["0"][0][0] = [[5, 2]]
+    _set_row_guard(snapshot, [[5, 2]])
+
+
+def _blank_guard(snapshot):
+    _set_row_guard(snapshot, [])
+
+
+def _unsorted_guard(snapshot):
+    _set_row_guard(snapshot, [[98, 98], [97, 97]])
+
+
+def _adjacent_guard(snapshot):
+    _set_row_guard(snapshot, [[97, 97], [98, 98]])
+
+
+def _guard_index_out_of_range(snapshot):
+    fragment = snapshot["fragments"][0]
+    _row_guard(fragment)[0] = len(fragment["guards"])
+
+
+def _negative_guard_index(snapshot):
+    _row_guard(snapshot["fragments"][0])[0] = -1
+
+
+def _set_first_guard(snapshot, ranges):
+    # state 0's first row reads ``a``, whose table entry the predicate
+    # op for ``a`` shares: the state's program no longer decodes
+    fragment = snapshot["fragments"][0]
+    fragment["guards"][fragment["rows"]["0"][0][0]] = ranges
+
+
+def _below_domain_guard(snapshot):
+    _set_first_guard(snapshot, [[-5, -1]])
+
+
+def _negative_low_guard(snapshot):
+    _set_first_guard(snapshot, [[-5, 97]])
 
 
 def _row_not_a_list(snapshot):
@@ -85,6 +134,10 @@ def _list_rows(snapshot):
     fragment["rows"] = list(fragment["rows"].values())
 
 
+def _null_guards(snapshot):
+    snapshot["fragments"][0]["guards"] = None
+
+
 def _text_only(snapshot):
     fragment = snapshot["fragments"][0]
     del fragment["code"], fragment["slots"]
@@ -95,9 +148,12 @@ def _text_only(snapshot):
 #: solves cold
 UNDECODABLE = [_cyclic, _forward_operand, _slot_out_of_range,
                _negative_slot, _target_out_of_range, _empty_guard,
-               _row_not_a_list]
+               _blank_guard, _unsorted_guard, _adjacent_guard,
+               _guard_index_out_of_range, _negative_guard_index,
+               _below_domain_guard, _negative_low_guard, _row_not_a_list]
 #: snapshots whose shape ``from_dict`` refuses: a clean cold start
-MISSHAPEN = [_null_fragments, _list_algebra, _list_rows, _text_only]
+MISSHAPEN = [_null_fragments, _list_algebra, _list_rows, _null_guards,
+             _text_only]
 
 
 def _write(tmp_path, corrupt):
@@ -133,6 +189,7 @@ def cold_lines():
 
 @pytest.mark.parametrize("corrupt", [
     _cyclic, _forward_operand, _slot_out_of_range, _negative_slot,
+    _below_domain_guard, _negative_low_guard,
 ])
 def test_malformed_program_decodes_to_none(corrupt):
     snapshot = _snapshot()
@@ -143,7 +200,9 @@ def test_malformed_program_decodes_to_none(corrupt):
 
 
 @pytest.mark.parametrize("corrupt", [
-    _target_out_of_range, _empty_guard, _row_not_a_list,
+    _target_out_of_range, _empty_guard, _blank_guard, _unsorted_guard,
+    _adjacent_guard, _guard_index_out_of_range, _negative_guard_index,
+    _row_not_a_list,
 ])
 def test_malformed_row_decodes_to_none(corrupt):
     snapshot = _snapshot()
@@ -191,7 +250,8 @@ def test_cli_starts_cold_on_a_misshapen_snapshot(tmp_path, cold_lines,
 
 
 @pytest.mark.parametrize("corrupt", [
-    _cyclic, _empty_guard, _null_fragments, _list_algebra, _list_rows,
+    _cyclic, _empty_guard, _below_domain_guard, _negative_low_guard,
+    _null_fragments, _list_algebra, _list_rows, _null_guards,
 ])
 def test_batch_answers_every_job_cold(tmp_path, corrupt):
     report = solve_batch(
