@@ -7,10 +7,11 @@ of real-world anchor/lookaround patterns against Python ``re`` and one
 of the reference semantics against classical Brzozowski matching on
 long strings, then runs a seeded, wall-clock-budgeted fuzz campaign
 that solves random EREs with all four engines, diffs their verdicts,
-validates every sat witness, checks the metamorphic identities, and
-cross-checks leftmost search (and a random lookaround stream) against
-Python's ``re``.  Any disagreement is shrunk to a minimal reproducer
-and printed.
+validates every sat witness, checks the metamorphic identities (the
+``atom-bound`` identity among them: Theorem 7.3 on the condtree engine
+for every clean ``B(RE)`` case), and cross-checks leftmost search (and
+a random lookaround stream) against Python's ``re``.  Any
+disagreement is shrunk to a minimal reproducer and printed.
 
 Exit status: 0 when the corpus replays clean, both sweeps agree, and
 the campaign found no unexplained disagreement (one whose shrunk

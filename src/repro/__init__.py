@@ -18,9 +18,9 @@ Quickstart::
     assert result.is_sat and result.witness is not None
 
 See README.md for the architecture overview and DESIGN.md for the
-paper-to-module map.  The paper's literal calculus, SBFAs and Figure 3
-rule engine live in :mod:`repro.reference`, which this package does
-not import.
+paper-to-module map.  The paper's literal calculus and Figure 3 rule
+engine live in :mod:`repro.reference`, which this package does not
+import.
 """
 
 from repro.alphabet import (

@@ -222,7 +222,7 @@ class BDDAlgebra(BooleanAlgebra):
         for lo, hi in ranges:
             lo = ord(lo) if isinstance(lo, str) else int(lo)
             hi = ord(hi) if isinstance(hi, str) else int(hi)
-            hi = min(hi, self.max_code)
+            lo, hi = max(lo, 0), min(hi, self.max_code)
             if lo <= hi:
                 result = self.disj(result, self._range(lo, hi, 0))
         return result

@@ -123,7 +123,7 @@ def reachable_states(builder, regex, limit=100000):
 
     This is the (symbolic) Antimirov NFA state space; for standard
     regexes it is linear in the regex size, which the tests check
-    against Theorem 7.3's SBFA bound.  Past ``limit`` states it raises
+    against the regex's node count.  Past ``limit`` states it raises
     :class:`~repro.errors.BudgetExceeded`.
     """
     seen = {regex}

@@ -218,40 +218,3 @@ def nontrivial_terminals(builder, tr):
         r for r in terminals(tr) if r is not builder.empty and r is not builder.full
     }
 
-
-def guards(tr):
-    """All branch predicates occurring in ``tr``."""
-    out = set()
-    stack = [tr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, TRCond):
-            out.add(node.pred)
-            stack.append(node.then)
-            stack.append(node.other)
-        elif isinstance(node, (TRUnion, TRInter)):
-            stack.extend(node.children)
-        elif isinstance(node, TRCompl):
-            stack.append(node.child)
-    return out
-
-
-def pretty(tr, algebra=None):
-    """Human-readable rendering, mirroring the paper's notation."""
-    from repro.regex.printer import render_pred, to_pattern
-
-    if isinstance(tr, TRLeaf):
-        return to_pattern(tr.regex, algebra)
-    if isinstance(tr, TRCond):
-        return "if(%s, %s, %s)" % (
-            render_pred(tr.pred, algebra),
-            pretty(tr.then, algebra),
-            pretty(tr.other, algebra),
-        )
-    if isinstance(tr, TRUnion):
-        return "(" + " | ".join(pretty(c, algebra) for c in tr.children) + ")"
-    if isinstance(tr, TRInter):
-        return "(" + " & ".join(pretty(c, algebra) for c in tr.children) + ")"
-    if isinstance(tr, TRCompl):
-        return "~" + pretty(tr.child, algebra)
-    raise TypeError("not a transition regex: %r" % (tr,))

@@ -164,17 +164,18 @@ class Regex:
         """True iff the regex is in ``B(RE)``: a Boolean combination of
         standard regexes, i.e. no ``&``/``~`` nested under ``.``/loops."""
 
-        def standard(node):
-            if node.kind in (INTER, COMPL) or node.kind in LOOK_KINDS:
-                return False
-            return all(standard(child) for child in node.children or ())
-
-        def boolean_layer(node):
+        def classify(node, children):
+            # (standard, in B(RE)) for each node
+            standard = (
+                node.kind not in (INTER, COMPL)
+                and node.kind not in LOOK_KINDS
+                and all(s for s, _ in children)
+            )
             if node.kind in (UNION, INTER, COMPL):
-                return all(boolean_layer(child) for child in node.children)
-            return standard(node)
+                return standard, all(b for _, b in children)
+            return standard, standard
 
-        return boolean_layer(self)
+        return fold_postorder(self, classify)[1]
 
 
 # -- iterative bottom-up folds ------------------------------------------------

@@ -2,8 +2,8 @@
 
 This module decides ``s in L(R)`` by structural recursion,
 *independently* of derivatives or automata.  It exists as a trusted
-oracle for the test suite (derivatives, SBFAs, classical automata and
-the solver are all cross-checked against it), and the solver replays
+oracle for the test suite (derivatives, classical automata and the
+solver are all cross-checked against it), and the solver replays
 every sat witness through it before reporting one.
 
 For a fixed string ``s`` of length ``n``, ``ends(R, i)`` is the set of

@@ -10,7 +10,8 @@ package turns that redundancy into an oracle:
   the reference semantics and the matcher;
 * :mod:`repro.verify.metamorphic` — identities that need no second
   engine: the derivative expansion of sat, reversal invariance,
-  Boolean-algebra laws, and length-analysis consistency;
+  Boolean-algebra laws, length-analysis consistency, and Theorem 7.3's
+  atom bound;
 * :mod:`repro.verify.shrink` — a delta-debugging reducer that turns a
   failing regex into a minimal reproducer;
 * :mod:`repro.verify.corpus` — frozen reproducers under

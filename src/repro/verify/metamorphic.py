@@ -12,7 +12,11 @@ answer.  A violated identity is a bug with no second engine needed:
   is unsat, ``R | ~R`` is universal, and De Morgan duals are
   equivalent;
 * **length consistency**: a witness's length lies inside the
-  structural ``[min, max]`` bounds of :mod:`repro.analysis.lengths`.
+  structural ``[min, max]`` bounds of :mod:`repro.analysis.lengths`;
+* **atom bound** (Theorem 7.3 on the product engine): for clean
+  ``R`` in ``B(RE)``, the derivative states reachable from ``R`` are
+  Boolean combinations of at most ``#(R)+3`` atoms.  It needs no
+  solver answer, so it runs first.
 
 Returns :class:`Violation` records, shaped like oracle findings so
 campaigns treat the two streams uniformly.
@@ -22,6 +26,7 @@ from repro.analysis.lengths import (
     NO_MEMBER, UNBOUNDED, structural_max, structural_min,
 )
 from repro.derivatives.condtree import DerivativeEngine
+from repro.regex.ast import COMPL, INF, INTER, LOOP, PRED, UNION, fold_postorder
 from repro.regex.transform import reverse
 from repro.solver import Budget, RegexSolver
 
@@ -42,6 +47,57 @@ class Violation:
         return "Violation(%s: %s)" % (self.identity, self.detail)
 
 
+def reachable_atoms(engine, regex):
+    """The atoms of ``regex`` and of every state reachable from it
+    under :meth:`DerivativeEngine.successors`.
+
+    An atom is a node met by descending through ``|``, ``&`` and ``~``
+    and stopping at the first node of any other kind; ⊥ and ``.*`` are
+    dropped.  The derivative of a ``|``, ``&`` or ``~`` only recombines
+    its operands' leaves, so every state is a Boolean combination of
+    these atoms, and they play the part of the Section 7 automaton's
+    states in Theorem 7.3.
+    """
+    builder = engine.builder
+    states = {regex}
+    frontier = [regex]
+    while frontier:
+        for target in engine.successors(frontier.pop()):
+            if target not in states:
+                states.add(target)
+                frontier.append(target)
+    atoms = set()
+    seen = set()
+    stack = list(states)
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if node.kind in (UNION, INTER, COMPL):
+            stack.extend(node.children)
+        elif node is not builder.empty and node is not builder.full:
+            atoms.add(node)
+    return atoms
+
+
+def expanded_pred_count(regex):
+    """``#(R)`` of the loop-expanded regex: ``R{l,h}`` counts as ``h``
+    copies of ``R``, and ``R{l,}`` as ``l+1`` (``R^l . R*``).  Theorem
+    7.3 is stated for the star-only grammar, where this is
+    :meth:`Regex.pred_count`; bounded loops are sugar for the copies."""
+
+    def count(node, children):
+        if node.kind == PRED:
+            return 1
+        total = sum(children)
+        if node.kind == LOOP:
+            total *= (node.lo + 1) if node.hi is INF else max(node.hi, 1)
+        return total
+
+    return fold_postorder(regex, count)
+
+
 def check_identities(builder, regex, solver=None, fuel=200000, seconds=5.0):
     """All identity violations for one regex (empty list = clean).
 
@@ -51,6 +107,19 @@ def check_identities(builder, regex, solver=None, fuel=200000, seconds=5.0):
     solver = solver or RegexSolver(builder)
     budget = lambda: Budget(fuel=fuel, seconds=seconds)
     violations = []
+    engine = DerivativeEngine(builder)
+
+    # -- atom bound: Theorem 7.3 covers clean B(RE), which has no
+    # zero-width assertions
+    if regex.in_b_re() and regex.is_clean():
+        atoms = len(reachable_atoms(engine, regex))
+        bound = expanded_pred_count(regex) + 3
+        if atoms > bound:
+            violations.append(Violation(
+                "atom-bound",
+                "%d reachable atoms, above the loop-expanded #(R)+3 = %d"
+                % (atoms, bound),
+            ))
 
     def sat_status(r):
         return solver.is_satisfiable(r, budget())
@@ -63,7 +132,6 @@ def check_identities(builder, regex, solver=None, fuel=200000, seconds=5.0):
     # (skipped for zero-width assertions: the condtree engine has no
     # sound derivative rule for them, by design)
     algebra = builder.algebra
-    engine = DerivativeEngine(builder)
     expanded = None
     if regex.has_look:
         expanded = None

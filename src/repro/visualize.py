@@ -2,8 +2,11 @@
 
 Text and Graphviz-dot output for the derivative transition structure
 of a regex (states = regexes, edges labelled with guard predicates —
-Figure 2's view) and for verdict explanations.  Figure 5's SBFA view
-is :func:`repro.reference.sbfa.sbfa.sbfa_to_text`.
+Figure 2's view) and for verdict explanations.  Figure 5's symbolic
+Boolean automaton has no renderer: the states drawn here are Boolean
+combinations of the atoms that
+:func:`repro.verify.metamorphic.reachable_atoms` collects, which stand
+in for its states.
 
 Purely presentational: used by examples and docs, tested for shape.
 """

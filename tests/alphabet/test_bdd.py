@@ -17,6 +17,13 @@ range_sets = st.lists(
     max_size=4,
 )
 
+#: Unclipped pairs: either end may fall outside ``[0, MAX]``, and a
+#: pair may come high end first (such pairs denote nothing).
+raw_range_sets = st.lists(
+    st.tuples(st.integers(-300, MAX + 300), st.integers(-300, MAX + 300)),
+    max_size=4,
+)
+
 
 @pytest.fixture
 def bdd():
@@ -32,7 +39,7 @@ def members(bdd, phi):
     return {c for c in range(MAX + 1) if bdd.member(c, phi)}
 
 
-@given(range_sets)
+@given(raw_range_sets)
 def test_from_ranges_matches_reference(pairs):
     bdd, ref = BDDAlgebra(BITS), IntervalAlgebra(MAX)
     assert members(bdd, bdd.from_ranges(pairs)) == set(ref.from_ranges(pairs))

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 
 from repro.reference.derivative import derivative
 from repro.reference.transition import (
-    TRCompl, TRCond, TRInter, TRLeaf, TRUnion, apply, guards, negate,
-    nontrivial_terminals, pretty, terminals, tr_concat,
+    TRCompl, TRCond, TRInter, TRLeaf, TRUnion, apply, negate,
+    nontrivial_terminals, terminals, tr_concat,
 )
 from repro.regex import parse
 from repro.regex.semantics import Matcher, enumerate_strings
@@ -117,13 +117,6 @@ class TestStructure:
         b = bitset_builder
         t = TRUnion((TRLeaf(b.empty), TRLeaf(b.full), TRLeaf(b.char("a"))))
         assert nontrivial_terminals(b, t) == {b.char("a")}
-
-    def test_guards(self, bitset_builder, cond):
-        assert guards(cond) == {bitset_builder.algebra.from_char("a")}
-
-    def test_pretty_contains_if(self, bitset_builder, cond):
-        text = pretty(cond, bitset_builder.algebra)
-        assert text.startswith("if(")
 
     def test_structural_equality_and_hash(self, bitset_builder):
         b = bitset_builder

@@ -66,7 +66,8 @@ class TestDeepStructuralPasses:
     recursed over the AST and died on deep non-collapsing regexes —
     with ``RecursionError``, or a hard interpreter fault once the
     recursion limit was raised past the C stack.  All four are now
-    iterative folds; none may touch the recursion limit."""
+    iterative folds, as is the ``B(RE)`` check that gates the
+    metamorphic atom bound; none may touch the recursion limit."""
 
     DEPTH = 4000
 
@@ -108,6 +109,13 @@ class TestDeepStructuralPasses:
     def test_depth_is_iterative_too(self, deep):
         _, regex = deep
         assert regex.depth() == 2 * self.DEPTH
+
+    def test_b_re_check_and_identities(self, deep):
+        from repro.verify.metamorphic import check_identities
+
+        builder, regex = deep
+        assert regex.in_b_re()
+        assert check_identities(builder, regex) == []
 
     def test_fold_postorder_memoizes_shared_subterms(self, ascii_builder):
         from repro.regex.ast import fold_postorder

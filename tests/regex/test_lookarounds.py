@@ -23,7 +23,6 @@ from repro.derivatives.condtree import DerivativeEngine
 from repro.errors import RegexSyntaxError, UnsupportedError
 from repro.reference.derivative import brzozowski_via_delta, derivative
 from repro.reference.dnf import delta_dnf
-from repro.reference.sbfa.sbfa import from_regex as sbfa_from_regex
 from repro.regex import RegexBuilder, parse, to_pattern
 from repro.regex.ast import (
     EPSILON, LOOK_KINDS, LOOKAHEAD, LOOKBEHIND, NEG_LOOKAHEAD,
@@ -368,14 +367,13 @@ ENGINE_ENTRIES = {
     "reference.delta_dnf": _refused(delta_dnf),
     "reference.brzozowski_via_delta": _refused(
         lambda b, r: brzozowski_via_delta(b, r, "a")),
-    "reference.sbfa_from_regex": _refused(sbfa_from_regex),
 }
 
 #: A lookahead the condtree, Brzozowski and Antimirov recursions never
 #: reached before the refusal moved to the root, and three inputs the
-#: literal pipeline answered wrongly: SBFA(``(?=a)a``) rejected ``a``,
-#: and ``brzozowski_via_delta`` left non-nullable residuals of
-#: ``a(?<=a)`` on ``a`` and of ``\bab\b`` on ``ab``.
+#: literal pipeline answered wrongly: ``delta`` derived ``(?=a)a`` to
+#: bottom on ``a``, and ``brzozowski_via_delta`` left non-nullable
+#: residuals of ``a(?<=a)`` on ``a`` and of ``\bab\b`` on ``ab``.
 REFUSED_PATTERNS = [r"ab(?=c)c", r"(?=a)a", r"a(?<=a)", r"\bab\b"]
 
 

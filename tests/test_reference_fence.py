@@ -1,7 +1,7 @@
 """The paper-reference code stays off the product path.
 
-:mod:`repro.reference` holds the literal calculus, the SBFAs and the
-Figure 3 rule engine.  Tests and the experiment index use it; the
+:mod:`repro.reference` holds the literal calculus and the Figure 3
+rule engine.  Tests and the experiment index use it; the
 solve/serve/store path must not.  Checked two ways: statically, over
 every import statement of every product module, and dynamically, over
 what the product entry points actually load.

@@ -1,6 +1,5 @@
-"""Derivative-graph and SBFA rendering."""
+"""Derivative-graph rendering."""
 
-from repro.reference.sbfa.sbfa import from_regex, sbfa_to_text
 from repro.regex import parse
 from repro.visualize import derivative_graph, graph_to_dot, graph_to_text
 
@@ -37,10 +36,3 @@ def test_graph_respects_state_cap(ascii_builder):
     states, _ = derivative_graph(b, parse(b, "~(.*a.{10})"), max_states=5)
     assert len(states) <= 5
 
-
-def test_sbfa_text(bitset_builder):
-    b = bitset_builder
-    sbfa = from_regex(b, parse(b, "(.*0.*)&~(.*01.*)"))
-    text = sbfa_to_text(sbfa)
-    assert "((F))" in text
-    assert "delta =" in text

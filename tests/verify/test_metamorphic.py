@@ -5,10 +5,11 @@ import random
 import pytest
 
 from repro.alphabet import IntervalAlgebra
+from repro.derivatives.condtree import DerivativeEngine
 from repro.regex import RegexBuilder, parse
 from repro.solver.result import SolverResult
 from repro.verify.campaign import RegexGen
-from repro.verify.metamorphic import check_identities
+from repro.verify.metamorphic import check_identities, expanded_pred_count
 
 
 @pytest.fixture()
@@ -18,7 +19,7 @@ def builder():
 
 @pytest.mark.parametrize("pattern", [
     "a+", "(a|b)*01", "~(a*)&b+", "a{2,4}", "[]", "()", "~([])",
-    "(0|1)+&~(.*01.*)",
+    "(0|1)+&~(.*01.*)", "(.*a.{4})&(.*b.{4})",
 ])
 def test_identities_hold(builder, pattern):
     assert check_identities(builder, parse(builder, pattern)) == []
@@ -56,3 +57,25 @@ def test_lying_solver_is_flagged(builder):
         builder, parse(builder, "a*"), solver=Liar()
     )
     assert any(v.identity == "derivative-expansion" for v in violations)
+
+
+def identities(builder, regex):
+    return {v.identity for v in check_identities(builder, regex)}
+
+
+def test_atom_bound_flags_an_engine_past_the_bound(builder, monkeypatch):
+    regex = parse(builder, "(.*a.{4})&(.*b.{4})")
+    bound = expanded_pred_count(regex) + 3
+    # one more fresh literal than the bound allows, reachable from
+    # every state
+    fresh = {builder.string("c" * n) for n in range(2, bound + 3)}
+    successors = DerivativeEngine.successors
+    monkeypatch.setattr(
+        DerivativeEngine, "successors",
+        lambda engine, r: successors(engine, r) | fresh,
+    )
+    assert "atom-bound" in identities(builder, regex)
+    # outside B(RE) Theorem 7.3 claims nothing, so the identity skips
+    outside = parse(builder, "a~(b)")
+    assert not outside.in_b_re()
+    assert "atom-bound" not in identities(builder, outside)
