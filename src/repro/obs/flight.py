@@ -494,9 +494,11 @@ class WorkerFlight:
     # -- heartbeats --------------------------------------------------------
 
     def start_heartbeats(self, state, result_q):
-        """Begin shipping periodic vitals up the result channel (the
-        first beat goes out immediately, so even a worker that dies on
-        its first task has reported in)."""
+        """Begin shipping periodic vitals up the result channel.  The
+        first beat is queued at once, ahead of any result on the same
+        channel, so a worker that returns a result has reported in
+        first; ``Queue.put`` only buffers it, though, and a worker
+        killed during its first task may never send it."""
         self._state = state
         self._result_q = result_q
         self.recorder.emit("worker.start", heartbeat_s=self.heartbeat_s)

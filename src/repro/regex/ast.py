@@ -114,7 +114,9 @@ class Regex:
         return self.kind == LOOP and self.lo == 0 and self.hi is INF
 
     def iter_subterms(self):
-        """Yield this node and all subterms, depth-first, pre-order."""
+        """Yield this node and all subterms, depth-first, pre-order:
+        a shared subterm once per occurrence, so the walk is as long as
+        the tree, not the DAG."""
         stack = [self]
         while stack:
             node = stack.pop()
@@ -124,41 +126,41 @@ class Regex:
 
     def predicates(self):
         """The set ``Psi_R`` of character predicates occurring in R."""
-        return {n.pred for n in self.iter_subterms() if n.kind == PRED}
+        preds = set()
+
+        def collect(node, _):
+            if node.kind == PRED:
+                preds.add(node.pred)
+
+        fold_postorder(self, collect)
+        return preds
+
+    # The counts below are over the tree (a shared subterm counts once
+    # per occurrence) but fold the DAG, so sharing costs nothing.
 
     def pred_count(self):
         """The number of predicate *nodes*, ``#(R)`` from Theorem 7.3."""
-        return sum(1 for n in self.iter_subterms() if n.kind == PRED)
+        return fold_postorder(
+            self, lambda node, kids: (node.kind == PRED) + sum(kids)
+        )
 
     def size(self):
         """Total number of AST nodes."""
-        return sum(1 for _ in self.iter_subterms())
+        return fold_postorder(self, lambda node, kids: 1 + sum(kids))
 
     def depth(self):
-        """Height of the AST (iterative and memoized over the shared
-        DAG: deep regexes are legal inputs, see :func:`fold_postorder`)."""
-        memo = {}
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            if node.uid in memo:
-                stack.pop()
-                continue
-            pending = [c for c in node.children or () if c.uid not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            memo[node.uid] = 1 + max(
-                (memo[c.uid] for c in node.children or ()), default=0
-            )
-        return memo[self.uid]
+        """Height of the AST."""
+        return fold_postorder(
+            self, lambda node, kids: 1 + max(kids, default=0)
+        )
 
     def is_clean(self):
         """Clean in the sense of Theorem 7.3: no ``bottom`` and no
         unsatisfiable predicates anywhere (builders never intern unsat
         predicates as PRED, so checking for EMPTY suffices)."""
-        return all(n.kind != EMPTY for n in self.iter_subterms())
+        return fold_postorder(
+            self, lambda node, kids: node.kind != EMPTY and all(kids)
+        )
 
     def in_b_re(self):
         """True iff the regex is in ``B(RE)``: a Boolean combination of

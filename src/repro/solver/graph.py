@@ -22,7 +22,6 @@ finality predicate supplied by the caller (for regexes: nullability).
 """
 
 from repro.obs import NULL_OBS
-from repro.solver.scc import IncrementalSCC
 
 
 class RegexGraph:
@@ -36,7 +35,6 @@ class RegexGraph:
         self._closed = set()
         self._alive = set()
         self._dead = set()
-        self._scc = IncrementalSCC()
         #: counters reported by benchmark harnesses
         self.edges_added = 0
         self._obs = obs if obs is not None else NULL_OBS
@@ -60,7 +58,6 @@ class RegexGraph:
             return
         self._succ[vertex] = set()
         self._pred[vertex] = set()
-        self._scc.add_node(vertex)
         if self._is_final(vertex):
             self._final.add(vertex)
             self._mark_alive(vertex)
@@ -96,7 +93,6 @@ class RegexGraph:
             if target not in self._succ[vertex]:
                 self._succ[vertex].add(target)
                 self._pred[target].add(vertex)
-                self._scc.add_edge(vertex, target)
                 self.edges_added += 1
             if target in self._alive:
                 self._mark_alive(vertex)
@@ -181,8 +177,9 @@ class RegexGraph:
         lifecycle layer's mark phase guarantees this): then a kept
         closed vertex keeps all its edges, so the cached Final, Closed,
         Alive and Dead facts remain valid verbatim on the kept
-        subgraph.  The SCC index is rebuilt fresh; ``edges_added``
-        stays monotone.  Returns the number of dropped vertices.
+        subgraph; only the predecessor index is rebuilt from the kept
+        edges.  ``edges_added`` stays monotone.  Returns the number of
+        dropped vertices.
         """
         kept = {v for v in self._succ if keep(v)}
         dropped = len(self._succ) - len(kept)
@@ -190,26 +187,16 @@ class RegexGraph:
             return 0
         succ = {v: {w for w in self._succ[v] if w in kept} for v in kept}
         pred = {v: set() for v in kept}
-        scc = IncrementalSCC()
-        for v in kept:
-            scc.add_node(v)
         for v, targets in succ.items():
             for w in targets:
                 pred[w].add(v)
-                scc.add_edge(v, w)
         self._succ = succ
         self._pred = pred
-        self._scc = scc
         self._final &= kept
         self._closed &= kept
         self._alive &= kept
         self._dead &= kept
         return dropped
-
-    def same_scc(self, a, b):
-        """True iff two vertices are in one strongly connected
-        component (exposed for tests of the incremental SCC layer)."""
-        return self._scc.same_component(a, b)
 
     def stats(self):
         """Summary counters for reporting."""

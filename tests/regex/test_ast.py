@@ -1,6 +1,10 @@
 """Structural helpers on regex nodes."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.regex import parse
+from repro.regex.ast import EMPTY, PRED, Regex
+from tests.strategies import extended_regexes, lookaround_regexes
 
 
 def test_predicates_set(ascii_builder):
@@ -63,3 +67,76 @@ def test_uid_total_order(ascii_builder):
     b = ascii_builder
     r1, r2 = b.char("a"), b.char("b")
     assert r1.uid != r2.uid
+
+
+def doubling_dag(builder, base, levels):
+    """``levels`` times ``x -> x.a | x.b``: a DAG whose tree doubles
+    with every level."""
+    node = base
+    for _ in range(levels):
+        node = builder.union([
+            builder.concat([node, builder.char("a")]),
+            builder.concat([node, builder.char("b")]),
+        ])
+    return node
+
+
+def test_structural_helpers_fold_the_dag(ascii_builder, monkeypatch):
+    b = ascii_builder
+    levels = 60
+    r = doubling_dag(b, b.char("a"), levels)
+
+    def walk_the_tree(self):
+        raise AssertionError("a structural helper walked the tree")
+
+    monkeypatch.setattr(Regex, "iter_subterms", walk_the_tree)
+    # a failure report must not print the 2^60-node pattern
+    monkeypatch.setattr(Regex, "__repr__", lambda self: "#%d" % self.uid)
+    assert r.is_clean()
+    assert r.predicates() == {
+        b.algebra.from_char("a"), b.algebra.from_char("b"),
+    }
+    # per level: one union and two concats over two copies of the
+    # level below and two characters
+    assert r.pred_count() == 3 * 2 ** levels - 2
+    assert r.size() == 6 * 2 ** levels - 5
+    assert r.depth() == 2 * levels + 1
+
+
+def tree_nodes(regex):
+    """Every occurrence of every subterm, written out as a tree walk."""
+    stack = [regex]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children or ())
+
+
+def tree_depth(regex):
+    deepest = 0
+    stack = [(regex, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in node.children or ())
+    return deepest
+
+
+def test_structural_helpers_match_the_tree_walk(bitset_builder):
+    b = bitset_builder
+    regexes = st.one_of(
+        extended_regexes(b), lookaround_regexes(b), st.just(b.empty),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(regexes, st.integers(0, 3))
+    def check(base, levels):
+        r = doubling_dag(b, base, levels)
+        nodes = list(tree_nodes(r))
+        assert r.predicates() == {n.pred for n in nodes if n.kind == PRED}
+        assert r.pred_count() == sum(1 for n in nodes if n.kind == PRED)
+        assert r.size() == len(nodes)
+        assert r.depth() == tree_depth(r)
+        assert r.is_clean() == all(n.kind != EMPTY for n in nodes)
+
+    check()

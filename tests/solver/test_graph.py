@@ -1,6 +1,7 @@
 """The regex reachability graph: Alive/Dead semantics of Section 5."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.solver.graph import RegexGraph
 
@@ -86,13 +87,75 @@ def test_stats(graph):
     assert stats["alive"] >= 2
 
 
-def test_same_scc(graph):
-    graph.add_vertex("p")
-    graph.update("p", ["q"])
-    graph.update("q", ["p"])
-    assert graph.same_scc("p", "q")
-
-
 def test_len_and_contains(graph):
     graph.add_vertex("v")
     assert "v" in graph and len(graph) == 1
+
+
+# -- Alive/Dead against reachability on random digraphs -----------------------
+
+
+def reachable(edges, vertex):
+    """Every vertex reachable from ``vertex`` (itself included)."""
+    seen = {vertex}
+    stack = [vertex]
+    while stack:
+        for nxt in edges.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def check_marks(graph, edges, finals, ever_dead):
+    """Alive and Dead of every vertex in ``graph`` match their
+    definitions over ``edges`` (the out-edges of the closed vertices),
+    and no vertex once answered dead stops being dead."""
+    closed = set(edges)
+    for vertex in graph.vertices:
+        reach = reachable(edges, vertex)
+        alive = bool(reach & finals)
+        assert graph.is_alive(vertex) == alive
+        dead = reach <= closed and not alive
+        assert graph.is_dead(vertex) == dead
+        if dead:
+            ever_dead.add(vertex)
+    assert all(graph.is_dead(v) for v in ever_dead)
+
+
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(1, 12))
+    vertices = st.sampled_from(range(n))
+    succ = [draw(st.sets(vertices, max_size=3)) for _ in range(n)]
+    finals = draw(st.sets(vertices, max_size=3))
+    order = draw(st.permutations(range(n)))
+    updated = order[:draw(st.integers(0, n))]
+    roots = draw(st.sets(vertices))
+    return succ, finals, updated, roots
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_alive_and_dead_match_reachability(case):
+    succ, finals, updated, roots = case
+    graph = RegexGraph(is_final=finals.__contains__)
+    edges = {}
+    ever_dead = set()
+    for vertex in updated:
+        graph.update(vertex, succ[vertex])
+        edges[vertex] = succ[vertex]
+        assert set(graph.vertices) == set(edges).union(*edges.values())
+        check_marks(graph, edges, finals, ever_dead)
+
+    # compaction with a successor-closed keep set keeps every fact
+    keep = set()
+    for root in roots & set(graph.vertices):
+        keep |= reachable(edges, root)
+    before = len(graph)
+    assert graph.compact(keep.__contains__) == before - len(keep)
+    assert set(graph.vertices) == keep
+    edges = {v: targets for v, targets in edges.items() if v in keep}
+    assert graph.edge_count == sum(len(t) for t in edges.values())
+    assert all(graph.is_closed(v) == (v in edges) for v in keep)
+    check_marks(graph, edges, finals, ever_dead & keep)
