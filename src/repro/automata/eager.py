@@ -17,6 +17,7 @@ derivative solver answers in a handful of states.
 from repro.errors import BudgetExceeded, refuse_lookarounds
 from repro.regex.ast import (
     COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOP, PRED, UNION,
+    fold_postorder,
 )
 from repro.automata.sfa import SFA, StateBudget
 from repro.automata.thompson import thompson
@@ -24,8 +25,8 @@ from repro.automata import ops
 
 
 def _is_standard(regex):
-    return all(
-        node.kind not in (INTER, COMPL) for node in regex.iter_subterms()
+    return fold_postorder(
+        regex, lambda node, kids: node.kind not in (INTER, COMPL) and all(kids)
     )
 
 

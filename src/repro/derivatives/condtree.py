@@ -91,6 +91,9 @@ class DerivativeEngine:
             self.obs.tracer.span if self.obs.tracer.enabled else None
         )
         self.obs.metrics.scope("deriv").read_from(self._counters)
+        #: the interned leaf ``{}`` (bottom), built once; ``compact``
+        #: keeps it, so ``leaf(())`` always returns this very object
+        self.bottom_leaf = self.leaf(())
 
     def _counters(self):
         return {
@@ -105,19 +108,26 @@ class DerivativeEngine:
 
     def leaf(self, regexes):
         """Interned leaf for a set of regexes (normalized)."""
-        builder = self.builder
-        normalized = set()
+        empty = self.builder.empty
+        full = self.builder.full
+        normalized = {}
         for r in regexes:
-            if r is builder.empty:
+            if r is empty:
                 continue
-            if r is builder.full:
-                normalized = {builder.full}
+            if r is full:
+                normalized = {full.uid: full}
                 break
-            normalized.add(r)
-        key = frozenset(r.uid for r in normalized)
+            normalized[r.uid] = r
+        # keyed by integer uids, so a hit hashes no regex
+        key = frozenset(normalized)
         cached = self._leaves.get(key)
         if cached is None:
-            cached = Leaf(frozenset(normalized), self._next_uid)
+            # a leaf's iteration order fixes the order in which
+            # ``_leaf_combine`` creates cross-product nodes, and so
+            # their uids and every witness: build the frozenset from a
+            # set filled in input order (a frozenset built straight
+            # from the dict view iterates differently)
+            cached = Leaf(frozenset(set(normalized.values())), self._next_uid)
             self._next_uid += 1
             self._leaves[key] = cached
         return cached
@@ -133,10 +143,6 @@ class DerivativeEngine:
             self._next_uid += 1
             self._trees[key] = cached
         return cached
-
-    @property
-    def bottom_leaf(self):
-        return self.leaf(())
 
     # -- leaf algebra --------------------------------------------------------
 
@@ -354,6 +360,7 @@ class DerivativeEngine:
             frozenset(r.uid for r in t.regexes): t
             for t in live_trees.values() if t.is_leaf
         }
+        self._leaves[frozenset()] = self.bottom_leaf
         self._meld_memo = {
             key: tree for key, tree in self._meld_memo.items()
             if key[1] in live_trees and key[2] in live_trees

@@ -61,6 +61,9 @@ REVERSED_LOOK = {
 #: Marker for an unbounded loop upper bound.
 INF = None
 
+#: The largest tree (in nodes) whose pattern ``repr`` prints.
+_REPR_MAX_NODES = 200
+
 
 class Regex:
     """A hash-consed ERE node.
@@ -76,7 +79,8 @@ class Regex:
         "has_look", "_hash",
     )
 
-    def __init__(self, kind, pred, children, lo, hi, uid, nullable, owner=None):
+    def __init__(self, kind, pred, children, lo, hi, uid, nullable, has_look,
+                 owner):
         self.owner = owner
         self.kind = kind
         self.pred = pred
@@ -86,11 +90,10 @@ class Regex:
         self.uid = uid
         self.nullable = nullable
         # positional guard: True iff a lookaround occurs anywhere in
-        # the subterm DAG.  Passes that are only sound on classical
-        # (non-positional) regexes key their fast path off this flag.
-        self.has_look = kind in LOOK_KINDS or any(
-            c.has_look for c in children
-        )
+        # the subterm DAG (the builder computes it while interning).
+        # Passes that are only sound on classical (non-positional)
+        # regexes key their fast path off this flag.
+        self.has_look = has_look
         self._hash = hash((kind, uid))
 
     def __hash__(self):
@@ -101,6 +104,11 @@ class Regex:
     def __repr__(self):
         from repro.regex.printer import to_pattern
 
+        # the pattern is as long as the tree, which sharing can make
+        # exponential in the DAG: past a fixed size print a summary
+        size = self.size()
+        if size > _REPR_MAX_NODES:
+            return "Regex<%s #%d, %d nodes>" % (self.kind, self.uid, size)
         try:
             return "Regex(%s)" % to_pattern(self)
         except Exception:  # pragma: no cover - repr must never raise

@@ -27,6 +27,13 @@ from repro.regex.ast import (
 )
 
 
+def _foreign(regex):
+    return AlgebraError(
+        "regex %r belongs to a different builder; regexes cannot be "
+        "mixed across builders" % (regex,)
+    )
+
+
 class RegexBuilder:
     """Factory and interning table for :class:`Regex` nodes."""
 
@@ -44,18 +51,21 @@ class RegexBuilder:
     # -- interning ---------------------------------------------------------
 
     def _intern(self, kind, pred, children, lo, hi, nullable):
+        # one pass over the children: the key holds their integer uids,
+        # and a lookaround anywhere below makes this node positional.
+        # Every constructor has already checked its operands' owner.
+        uids = []
+        has_look = kind in LOOK_KINDS
         for child in children:
-            if child.owner is not self:
-                raise AlgebraError(
-                    "regex %r belongs to a different builder; regexes "
-                    "cannot be mixed across builders" % (child,)
-                )
-        key = (kind, pred, tuple(c.uid for c in children), lo, hi)
+            uids.append(child.uid)
+            if child.has_look:
+                has_look = True
+        key = (kind, pred, tuple(uids), lo, hi)
         node = self._table.get(key)
         if node is None:
             node = Regex(
                 kind, pred, tuple(children), lo, hi, self._next_uid,
-                nullable, owner=self,
+                nullable, has_look, self,
             )
             self._next_uid += 1
             self._table[key] = node
@@ -92,21 +102,31 @@ class RegexBuilder:
     def concat(self, parts):
         """Concatenation, flattened; ``bottom`` absorbs, ``eps`` is unit."""
         flat = []
+        nullable = True
+        absorbed = False
         for part in parts:
-            if part.kind == EMPTY:
-                return self.empty
-            if part.kind == EPSILON:
+            if part.owner is not self:
+                raise _foreign(part)
+            kind = part.kind
+            if kind == EMPTY:
+                # absorbs, but the parts after it are still checked
+                absorbed = True
                 continue
-            if part.kind == CONCAT:
+            if kind == EPSILON:
+                continue
+            if kind == CONCAT:
                 flat.extend(part.children)
             else:
                 flat.append(part)
+            if not part.nullable:
+                nullable = False
+        if absorbed:
+            return self.empty
         if not flat:
             return self.epsilon
         if len(flat) == 1:
             return flat[0]
-        nullable = all(p.nullable for p in flat)
-        return self._intern(CONCAT, None, tuple(flat), None, None, nullable)
+        return self._intern(CONCAT, None, flat, None, None, nullable)
 
     def seq(self, *parts):
         """Variadic convenience wrapper around :meth:`concat`."""
@@ -123,11 +143,15 @@ class RegexBuilder:
         return self._boolean(parts, INTER)
 
     def _boolean(self, parts, kind):
-        unit = self.empty if kind == UNION else self.full
-        absorber = self.full if kind == UNION else self.empty
+        union = kind == UNION
+        unit = self.empty if union else self.full
+        absorber = self.full if union else self.empty
         members = {}
         pred_acc = None
         stack = list(parts)
+        for part in stack:
+            if part.owner is not self:
+                raise _foreign(part)
         while stack:
             part = stack.pop()
             if part is absorber:
@@ -136,7 +160,7 @@ class RegexBuilder:
                 continue
             if part.kind == kind:
                 stack.extend(part.children)
-            elif part.kind == PRED and kind == UNION:
+            elif part.kind == PRED and union:
                 pred_acc = part.pred if pred_acc is None else self.algebra.disj(
                     pred_acc, part.pred
                 )
@@ -148,7 +172,7 @@ class RegexBuilder:
                 return absorber
             if fused is not unit:
                 members[fused.uid] = fused
-        if kind == INTER and self.epsilon.uid in members:
+        if not union and self.epsilon.uid in members:
             # eps & R = eps when eps in L(R), else bottom — but only
             # when no member carries assertions: positionally,
             # eps & (?!a) *is* the assertion, not eps
@@ -159,20 +183,24 @@ class RegexBuilder:
                 return self.empty
         if not members:
             return unit
-        children = sorted(members.values(), key=lambda r: r.uid)
-        if len(children) == 1:
-            return children[0]
-        # R | ~R = .*  and  R & ~R = bottom
-        uids = set(members)
-        for child in children:
-            if child.kind == COMPL and child.children[0].uid in uids:
+        if len(members) == 1:
+            (member,) = members.values()
+            return member
+        children = []
+        any_nullable = False
+        all_nullable = True
+        for uid in sorted(members):
+            child = members[uid]
+            # R | ~R = .*  and  R & ~R = bottom
+            if child.kind == COMPL and child.children[0].uid in members:
                 return absorber
-        nullable = (
-            any(c.nullable for c in children)
-            if kind == UNION
-            else all(c.nullable for c in children)
-        )
-        return self._intern(kind, None, tuple(children), None, None, nullable)
+            children.append(child)
+            if child.nullable:
+                any_nullable = True
+            else:
+                all_nullable = False
+        nullable = any_nullable if union else all_nullable
+        return self._intern(kind, None, children, None, None, nullable)
 
     def alt(self, *parts):
         """Variadic convenience wrapper around :meth:`union`."""
@@ -184,6 +212,8 @@ class RegexBuilder:
 
     def compl(self, r):
         """Complement ``~R`` with ``~~R = R``, ``~bottom = .*``."""
+        if r.owner is not self:
+            raise _foreign(r)
         if r.kind == COMPL:
             return r.children[0]
         if r is self.empty:
@@ -225,6 +255,8 @@ class RegexBuilder:
         """
         if kind not in LOOK_KINDS:
             raise AlgebraError("not an assertion kind: %r" % (kind,))
+        if r.owner is not self:
+            raise _foreign(r)
         positive = kind in (LOOKAHEAD, LOOKBEHIND)
         if r.kind == EMPTY:
             return self.empty if positive else self.epsilon
@@ -257,6 +289,8 @@ class RegexBuilder:
 
     def loop(self, r, lo, hi=INF):
         """Bounded/unbounded iteration ``R{lo,hi}`` (``hi=None`` = inf)."""
+        if r.owner is not self:
+            raise _foreign(r)
         if lo < 0 or (hi is not INF and hi < lo):
             raise AlgebraError("bad loop bounds {%r,%r}" % (lo, hi))
         if hi == 0:
@@ -299,8 +333,6 @@ class RegexBuilder:
 
     def opt(self, r):
         """``R?`` = ``R{0,1}``."""
-        if r.nullable and not r.has_look:
-            return r
         return self.loop(r, 0, 1)
 
     # -- misc -------------------------------------------------------------------------

@@ -76,8 +76,13 @@ class _CannotEliminate(Exception):
 def _has_lookahead(regex):
     """True iff a (possibly negated) lookahead occurs anywhere in the
     subterm DAG, including inside lookbehind bodies."""
-    return any(
-        n.kind in (LOOKAHEAD, NEG_LOOKAHEAD) for n in regex.iter_subterms()
+    if not regex.has_look:
+        return False
+    return fold_postorder(
+        regex,
+        lambda node, kids: (
+            node.kind in (LOOKAHEAD, NEG_LOOKAHEAD) or any(kids)
+        ),
     )
 
 

@@ -156,9 +156,11 @@ class AntimirovSolver(_BaselineObsMixin):
         return positive, negatives
 
     def _require_compl_free(self, regex):
-        from repro.regex.ast import COMPL
+        from repro.regex.ast import COMPL, fold_postorder
 
-        if any(node.kind == COMPL for node in regex.iter_subterms()):
+        if fold_postorder(
+            regex, lambda node, kids: node.kind == COMPL or any(kids)
+        ):
             raise UnsupportedError(
                 "partial derivatives cannot express nested complement"
             )

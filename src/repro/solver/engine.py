@@ -12,6 +12,7 @@ decidable, so the only source of ``unknown`` is an explicit budget).
 import time
 import weakref
 from collections import deque
+from operator import attrgetter
 
 from repro.derivatives.condtree import DerivativeEngine
 from repro.errors import BudgetExceeded, ReproError, UnsupportedError
@@ -25,9 +26,8 @@ from repro.solver.result import (
 )
 
 
-def _by_uid(regex):
-    """Deterministic successor ordering for frozen transition rows."""
-    return regex.uid
+#: deterministic successor ordering for frozen transition rows
+_by_uid = attrgetter("uid")
 
 
 class RegexSolver:

@@ -20,7 +20,7 @@ escape.
 """
 
 from repro.regex.ast import (
-    COMPL, CONCAT, INF, INTER, LOOK_KINDS, LOOP, PRED, UNION,
+    COMPL, CONCAT, INF, INTER, LOOK_KINDS, LOOP, PRED, UNION, fold_postorder,
 )
 
 
@@ -121,9 +121,12 @@ def _cost(builder, regex):
     fewer multi-character classes (``[01]`` and ``1`` have the same
     node count, but the singleton is the better reproducer)."""
     algebra = builder.algebra
-    wide = sum(
-        1 for n in regex.iter_subterms()
-        if n.kind == PRED and not algebra.is_singleton(n.pred)
+    # over the tree, like ``size``: a shared class counts per occurrence
+    wide = fold_postorder(
+        regex,
+        lambda node, kids: sum(kids) + (
+            node.kind == PRED and not algebra.is_singleton(node.pred)
+        ),
     )
     return regex.size() + wide
 

@@ -1,6 +1,6 @@
 """The fused clean-conditional-tree engine vs the literal pipeline."""
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.derivatives.condtree import DerivativeEngine
 from repro.reference.dnf import delta_dnf
@@ -75,6 +75,63 @@ def test_leaves_never_contain_bottom_and_full_absorbs(bitset_builder):
     assert b.empty not in leaf.regexes
     leaf2 = engine.leaf([b.full, b.char("a")])
     assert leaf2.regexes == frozenset({b.full})
+
+
+def insertion_order_leaf(builder, regexes):
+    """A leaf's set as ``leaf`` has always built it: a frozenset of a set
+    filled by ``add`` in input order."""
+    members = set()
+    for r in regexes:
+        if r is builder.empty:
+            continue
+        if r is builder.full:
+            members = {builder.full}
+            break
+        members.add(r)
+    return frozenset(members)
+
+
+def test_leaf_iterates_in_insertion_order(ascii_builder):
+    # a leaf's iteration order fixes the creation order, and so the
+    # uids, of the cross-product nodes built from it, and with them
+    # every witness: it must not change with how ``leaf`` dedupes
+    b = ascii_builder
+    pool = (
+        [b.char(c) for c in "abcdefghij"]
+        + [b.star(b.char(c)) for c in "klmnop"]
+        + [b.string(w) for w in ("ab", "ba", "abc", "cab")]
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=9, unique=True),
+        st.lists(st.sampled_from(pool + [b.empty, b.full]), max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    def check(distinct, extra, rng):
+        regexes = distinct + extra
+        rng.shuffle(regexes)
+        engine = DerivativeEngine(b)
+        assert list(engine.leaf(regexes).regexes) == list(
+            insertion_order_leaf(b, regexes)
+        )
+
+    check()
+
+
+def test_bottom_leaf_survives_compaction(ascii_builder):
+    b = ascii_builder
+    engine = DerivativeEngine(b)
+    bottom = engine.bottom_leaf
+    assert engine.leaf(()) is bottom
+    engine.derivative(b.char("a"))
+    # the tree of .* is the leaf {.*}: nothing live holds bottom
+    assert engine.derivative(b.full).regexes == frozenset({b.full})
+    engine.compact({b.full.uid: b.full})
+    assert engine.bottom_leaf is bottom
+    assert engine.leaf(()) is bottom
+    pred = b.algebra.from_char("a")
+    assert engine.node(pred, engine.leaf(()), engine.bottom_leaf) is bottom
 
 
 def test_tree_interning(bitset_builder):

@@ -2,8 +2,15 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.automata.eager import _is_standard
+from repro.errors import UnsupportedError
 from repro.regex import parse
-from repro.regex.ast import EMPTY, PRED, Regex
+from repro.regex.ast import (
+    COMPL, EMPTY, INTER, LOOK_KINDS, LOOKAHEAD, NEG_LOOKAHEAD, PRED, Regex,
+)
+from repro.regex.transform import _has_lookahead
+from repro.solver.baselines import AntimirovSolver
+from repro.verify.shrink import _cost
 from tests.strategies import extended_regexes, lookaround_regexes
 
 
@@ -91,7 +98,7 @@ def test_structural_helpers_fold_the_dag(ascii_builder, monkeypatch):
 
     monkeypatch.setattr(Regex, "iter_subterms", walk_the_tree)
     # a failure report must not print the 2^60-node pattern
-    monkeypatch.setattr(Regex, "__repr__", lambda self: "#%d" % self.uid)
+    assert repr(r) == "Regex<union #%d, %d nodes>" % (r.uid, r.size())
     assert r.is_clean()
     assert r.predicates() == {
         b.algebra.from_char("a"), b.algebra.from_char("b"),
@@ -101,6 +108,17 @@ def test_structural_helpers_fold_the_dag(ascii_builder, monkeypatch):
     assert r.pred_count() == 3 * 2 ** levels - 2
     assert r.size() == 6 * 2 ** levels - 5
     assert r.depth() == 2 * levels + 1
+    # the passes that ask "does some node have this kind?"
+    behind = doubling_dag(b, b.lookbehind(b.char("c")), levels)
+    assert not _has_lookahead(behind)
+    assert _has_lookahead(b.concat([b.lookahead(b.char("c")), behind]))
+    assert _is_standard(r)
+    assert not _is_standard(b.concat([r, b.compl(b.char("c"))]))
+    assert AntimirovSolver(b)._require_compl_free(r) is r
+    # the shrink cost counts each wide class per occurrence, as size does
+    assert _cost(b, r) == r.size()
+    wide = doubling_dag(b, b.dot, levels)
+    assert _cost(b, wide) == wide.size() + 2 ** levels
 
 
 def tree_nodes(regex):
@@ -127,6 +145,13 @@ def test_structural_helpers_match_the_tree_walk(bitset_builder):
     regexes = st.one_of(
         extended_regexes(b), lookaround_regexes(b), st.just(b.empty),
     )
+    antimirov = AntimirovSolver(b)
+
+    def compl_free(regex):
+        try:
+            return antimirov._require_compl_free(regex) is regex
+        except UnsupportedError:
+            return False
 
     @settings(max_examples=200, deadline=None)
     @given(regexes, st.integers(0, 3))
@@ -138,5 +163,36 @@ def test_structural_helpers_match_the_tree_walk(bitset_builder):
         assert r.size() == len(nodes)
         assert r.depth() == tree_depth(r)
         assert r.is_clean() == all(n.kind != EMPTY for n in nodes)
+        assert _has_lookahead(r) == any(
+            n.kind in (LOOKAHEAD, NEG_LOOKAHEAD) for n in nodes
+        )
+        assert _is_standard(r) == all(
+            n.kind not in (INTER, COMPL) for n in nodes
+        )
+        assert compl_free(r) == all(n.kind != COMPL for n in nodes)
+        assert _cost(b, r) == len(nodes) + sum(
+            1 for n in nodes
+            if n.kind == PRED and not b.algebra.is_singleton(n.pred)
+        )
+
+    check()
+
+
+def test_has_look_matches_its_definition(bitset_builder):
+    b = bitset_builder
+
+    def has_look(node, memo):
+        if node.uid not in memo:
+            memo[node.uid] = node.kind in LOOK_KINDS or any(
+                has_look(child, memo) for child in node.children
+            )
+        return memo[node.uid]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(extended_regexes(b), lookaround_regexes(b)))
+    def check(r):
+        memo = {}
+        for node in tree_nodes(r):
+            assert node.has_look == has_look(node, memo)
 
     check()

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.alphabet import IntervalAlgebra
 from repro.errors import AlgebraError
+from repro.regex import RegexBuilder
 from repro.regex.ast import INF, PRED
 
 
@@ -153,6 +155,52 @@ class TestInterning:
         r = ascii_builder.char("a")
         with pytest.raises(AlgebraError):
             bitset_builder.star(r)
+
+
+#: Every constructor taking an operand, applied by ``b1`` to ``b2``'s
+#: nodes: ``a1`` (b1's ``a*``) and ``x2`` (b2's ``b*``) share a uid.
+#: All shapes but the last hit a shortcut that returns before anything
+#: is interned (a unit, an absorber, a lone member, a fused predicate,
+#: a loop or assertion identity).
+FOREIGN_OPERANDS = {
+    "union-shared-uid": lambda b1, b2, a1, x2: b1.union([x2, a1]),
+    "inter-shared-uid": lambda b1, b2, a1, x2: b1.inter([x2, a1]),
+    "union-absorbed": lambda b1, b2, a1, x2: b1.union([x2, b1.full]),
+    "inter-absorbed": lambda b1, b2, a1, x2: b1.inter([x2, b1.empty]),
+    "union-lone": lambda b1, b2, a1, x2: b1.union([x2]),
+    "inter-lone": lambda b1, b2, a1, x2: b1.inter([x2]),
+    "union-fused-pred": lambda b1, b2, a1, x2: b1.union(
+        [b2.char("d"), b1.char("a")]
+    ),
+    "concat-lone": lambda b1, b2, a1, x2: b1.concat([x2]),
+    "concat-after-eps": lambda b1, b2, a1, x2: b1.concat([b1.epsilon, x2]),
+    "concat-after-bottom": lambda b1, b2, a1, x2: b1.concat([b1.empty, x2]),
+    "loop": lambda b1, b2, a1, x2: b1.loop(x2, 2, 3),
+    "loop-1-1": lambda b1, b2, a1, x2: b1.loop(b2.char("d"), 1, 1),
+    "star": lambda b1, b2, a1, x2: b1.star(x2),
+    "plus": lambda b1, b2, a1, x2: b1.plus(x2),
+    "opt": lambda b1, b2, a1, x2: b1.opt(x2),
+    "compl-of-compl": lambda b1, b2, a1, x2: b1.compl(
+        b2.compl(b2.char("c"))
+    ),
+    "lookahead-nullable": lambda b1, b2, a1, x2: b1.lookahead(x2),
+    "neg-lookbehind": lambda b1, b2, a1, x2: b1.neg_lookbehind(
+        b2.char("d")
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "shape", sorted(FOREIGN_OPERANDS), ids=sorted(FOREIGN_OPERANDS)
+)
+def test_foreign_operands_are_refused(shape):
+    b1 = RegexBuilder(IntervalAlgebra(127))
+    b2 = RegexBuilder(IntervalAlgebra(127))
+    a1 = b1.star(b1.char("a"))
+    x2 = b2.star(b2.char("b"))
+    assert a1.uid == x2.uid
+    with pytest.raises(AlgebraError, match="different builder"):
+        FOREIGN_OPERANDS[shape](b1, b2, a1, x2)
 
 
 def test_nullability_concat_union_inter(bitset_builder):
