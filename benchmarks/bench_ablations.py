@@ -133,32 +133,3 @@ def test_ablation_interval_vs_bdd(benchmark):
     write_json_artifact("ablations_algebra.json", {
         "interval_s": interval_time, "bdd_s": bdd_time,
     })
-
-
-def test_ablation_simplify_pass(benchmark, builder):
-    """Does the post-hoc simplification pass shrink derivative state
-    spaces on the handwritten regexes?  Counted in the atoms of
-    Theorem 7.3 (see ``bench_state_counts.py``)."""
-    from repro.regex.simplify import simplify_fixpoint
-    from repro.verify.metamorphic import reachable_atoms
-
-    regexes = [parse(builder, p) for p in PATTERNS]
-    # make fusion opportunities explicit
-    regexes.append(parse(builder, "aaaaaaa*&.{4,40}"))
-
-    def measure(rs):
-        engine = DerivativeEngine(builder)
-        return sum(len(reachable_atoms(engine, r)) for r in rs)
-
-    plain = benchmark.pedantic(lambda: measure(regexes), rounds=1, iterations=1)
-    simplified = measure([simplify_fixpoint(builder, r) for r in regexes])
-    text = (
-        "derivative atoms without simplify: %d\n"
-        "derivative atoms with simplify:    %d" % (plain, simplified)
-    )
-    print("\n" + text)
-    write_artifact("ablations_simplify.txt", text)
-    write_json_artifact("ablations_simplify.json", {
-        "atoms_plain": plain, "atoms_simplified": simplified,
-    })
-    assert simplified <= plain

@@ -17,6 +17,10 @@ Quickstart::
     result = solver.is_satisfiable(r)
     assert result.is_sat and result.witness is not None
 
+Containment and equivalence are :meth:`RegexSolver.contains` and
+:meth:`RegexSolver.equivalent`: both reduce to the emptiness of one
+Boolean combination (§5), so one decision procedure answers all three.
+
 See README.md for the architecture overview and DESIGN.md for the
 paper-to-module map.  The paper's literal calculus and Figure 3 rule
 engine live in :mod:`repro.reference`, which this package does not
@@ -33,9 +37,6 @@ from repro.obs import Observability
 from repro.solver import Budget, RegexSolver, SmtSolver, SolverResult, formula
 from repro.smtlib import parse_script, run_script, script_text
 from repro.matcher import Match, RegexMatcher, compile_pattern
-from repro.analysis import LanguageCounter
-from repro.solver.context import SolverContext
-from repro.solver.equivalence import BisimulationChecker
 from repro import errors, visualize
 
 __version__ = "1.0.0"
@@ -48,6 +49,5 @@ __all__ = [
     "SolverResult", "Observability", "formula",
     "parse_script", "run_script", "script_text",
     "RegexMatcher", "Match", "compile_pattern",
-    "SolverContext", "BisimulationChecker", "LanguageCounter",
     "errors", "visualize",
 ]

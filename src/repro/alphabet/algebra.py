@@ -24,8 +24,6 @@ Concrete implementations:
 
 from abc import ABC, abstractmethod
 
-from repro.errors import AlgebraError
-
 
 class BooleanAlgebra(ABC):
     """Abstract effective Boolean algebra over a character domain.
@@ -116,6 +114,18 @@ class BooleanAlgebra(ABC):
     def neg(self, phi):
         """Negation: ``[[neg(phi)]] = D \\ [[phi]]``."""
 
+    # -- Ownership -----------------------------------------------------------
+
+    @abstractmethod
+    def owned(self, phi):
+        """Return ``phi`` if it is a predicate of this algebra, else
+        raise :class:`AlgebraError`.
+
+        Constant time: the regex builder checks every predicate that
+        enters it, so a predicate of another domain can never reach a
+        derivative or a witness.
+        """
+
     # -- Decision problems --------------------------------------------------
 
     @abstractmethod
@@ -182,15 +192,6 @@ class BooleanAlgebra(ABC):
         """Symmetric difference."""
         return self.disj(self.diff(phi, psi), self.diff(psi, phi))
 
-    def conj_all(self, phis):
-        """Conjunction of an iterable of predicates (``top`` if empty)."""
-        result = self.top
-        for phi in phis:
-            result = self.conj(result, phi)
-            if result == self.bot:
-                break
-        return result
-
     def disj_all(self, phis):
         """Disjunction of an iterable of predicates (``bot`` if empty)."""
         result = self.bot
@@ -216,11 +217,6 @@ class BooleanAlgebra(ABC):
     def count(self, phi):
         """Number of characters in ``[[phi]]`` (may be expensive)."""
         raise NotImplementedError
-
-    def require_sat(self, phi):
-        """Raise :class:`AlgebraError` unless ``phi`` is satisfiable."""
-        if not self.is_sat(phi):
-            raise AlgebraError("predicate is unsatisfiable: %r" % (phi,))
 
 
 def pred_ranges(algebra, pred):

@@ -87,6 +87,13 @@ class BDDAlgebra(BooleanAlgebra):
     def _is_terminal(self, node):
         return isinstance(node, _Terminal)
 
+    def owned(self, phi):
+        if phi is self._true or phi is self._false or (
+            isinstance(phi, BDDNode) and phi.manager_id == self._id
+        ):
+            return phi
+        raise AlgebraError("predicate %r belongs to a different algebra" % (phi,))
+
     # -- the distinguished predicates ---------------------------------------
 
     @property

@@ -48,7 +48,7 @@ class BitsetAlgebra(BooleanAlgebra):
         self._bot = BitsetPred(0, self._id)
         self._top = BitsetPred((1 << len(chars)) - 1, self._id)
 
-    def _check(self, phi):
+    def owned(self, phi):
         if not isinstance(phi, BitsetPred) or phi.algebra_id != self._id:
             raise AlgebraError("predicate %r belongs to a different algebra" % (phi,))
         return phi
@@ -63,34 +63,34 @@ class BitsetAlgebra(BooleanAlgebra):
 
     def conj(self, phi, psi):
         self._op_count += 1
-        return BitsetPred(self._check(phi).mask & self._check(psi).mask, self._id)
+        return BitsetPred(self.owned(phi).mask & self.owned(psi).mask, self._id)
 
     def disj(self, phi, psi):
         self._op_count += 1
-        return BitsetPred(self._check(phi).mask | self._check(psi).mask, self._id)
+        return BitsetPred(self.owned(phi).mask | self.owned(psi).mask, self._id)
 
     def neg(self, phi):
         self._op_count += 1
-        return BitsetPred(self._top.mask & ~self._check(phi).mask, self._id)
+        return BitsetPred(self._top.mask & ~self.owned(phi).mask, self._id)
 
     def is_sat(self, phi):
         self._sat_count += 1
-        return self._check(phi).mask != 0
+        return self.owned(phi).mask != 0
 
     def is_valid(self, phi):
         self._sat_count += 1
-        return self._check(phi).mask == self._top.mask
+        return self.owned(phi).mask == self._top.mask
 
     def member(self, char, phi):
         if char not in self._index:
             return False  # out-of-domain: clean non-match, never an error
-        return bool(self._check(phi).mask >> self._index[char] & 1)
+        return bool(self.owned(phi).mask >> self._index[char] & 1)
 
     def in_domain(self, char):
         return char in self._index
 
     def pick(self, phi):
-        mask = self._check(phi).mask
+        mask = self.owned(phi).mask
         if mask == 0:
             raise AlgebraError("cannot pick from the empty predicate")
         return self.alphabet[(mask & -mask).bit_length() - 1]
@@ -119,11 +119,11 @@ class BitsetAlgebra(BooleanAlgebra):
         return self.from_chars(chars)
 
     def count(self, phi):
-        return bin(self._check(phi).mask).count("1")
+        return bin(self.owned(phi).mask).count("1")
 
     def chars(self, phi):
         """All characters denoted by ``phi``, in alphabet order."""
-        mask = self._check(phi).mask
+        mask = self.owned(phi).mask
         return [c for i, c in enumerate(self.alphabet) if mask >> i & 1]
 
     def __repr__(self):

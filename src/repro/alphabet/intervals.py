@@ -203,6 +203,19 @@ class IntervalAlgebra(BooleanAlgebra):
         self._neg_cache = {}
         self._pick_cache = {}
 
+    def owned(self, phi):
+        """Any :class:`CharSet` inside ``[0, max_code]``: equality is
+        structural, so a set of another algebra over the same domain is
+        this algebra's set too."""
+        if isinstance(phi, CharSet) and (
+            not phi.ranges or phi.ranges[-1][1] <= self.max_code
+        ):
+            return phi
+        raise AlgebraError(
+            "predicate %r is not a set within this algebra's domain "
+            "(max %#x)" % (phi, self.max_code)
+        )
+
     @property
     def bot(self):
         return self._bot

@@ -34,12 +34,6 @@ def minterms(algebra, predicates):
     return parts
 
 
-def minterms_of_regex_preds(algebra, preds):
-    """Alias used by the classical baselines; kept separate so call
-    sites document *why* they mintermize (finitizing the alphabet)."""
-    return minterms(algebra, preds)
-
-
 def partition_check(algebra, parts):
     """True iff ``parts`` are pairwise disjoint and cover the domain.
 

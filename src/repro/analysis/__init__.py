@@ -1,13 +1,8 @@
-"""Language analysis over derivative DFAs: exact cardinality counting,
-uniform random sampling, finiteness, and length windows."""
+"""Structural length bounds: a shortest and a longest member length
+read off an ERE's syntax, exact on complement-free regexes."""
 
-from repro.analysis.counting import LanguageCounter
 from repro.analysis.lengths import (
-    LengthAnalysis, NO_MEMBER, UNBOUNDED, structural_max, structural_min,
+    NO_MEMBER, UNBOUNDED, structural_max, structural_min,
 )
 
-__all__ = [
-    "LanguageCounter",
-    "LengthAnalysis", "structural_min", "structural_max",
-    "NO_MEMBER", "UNBOUNDED",
-]
+__all__ = ["structural_min", "structural_max", "NO_MEMBER", "UNBOUNDED"]

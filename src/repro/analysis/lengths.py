@@ -1,22 +1,12 @@
-"""Length analysis: shortest and longest members of an ERE.
+"""Structural length bounds: shortest and longest members of an ERE.
 
-Two flavours:
-
-* fast *structural bounds*, exact on complement-free regexes and safe
-  (never wrong, possibly loose) on the full ERE class;
-* *exact* values computed over the derivative DFA: the shortest member
-  is a BFS to a nullable state, the longest a longest-path computation
-  (finite languages have acyclic live parts).
-
-Length facts power quick unsat pre-checks (a length window disjoint
-from ``[min, max]`` kills a constraint without any search) and the
-test suite's cross-checks.
+Each bound is one fold over the syntax: exact on complement-free
+regexes and safe (never wrong, possibly loose) on the
+full ERE class.  The metamorphic identities and the corpus replay
+check them.
 """
 
-from collections import deque
-
 from repro.errors import refuse_lookarounds
-from repro.matcher.dfa_cache import LazyDfa
 from repro.regex.ast import (
     COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOP, PRED, UNION,
     fold_postorder,
@@ -123,100 +113,3 @@ def structural_max(regex):
         raise AssertionError("unknown node kind %r" % kind)
 
     return fold_postorder(regex, bound)
-
-
-class LengthAnalysis:
-    """Exact shortest/longest member lengths via the derivative DFA."""
-
-    def __init__(self, builder, dfa=None):
-        self.builder = builder
-        self.dfa = dfa or LazyDfa(builder)
-
-    def min_length(self, regex):
-        """Length of a shortest member, or ``None`` if empty."""
-        if regex.nullable:
-            return 0
-        seen = {regex}
-        queue = deque([(regex, 0)])
-        while queue:
-            state, depth = queue.popleft()
-            for _, target in self.dfa.row(state):
-                if target is self.builder.empty or target in seen:
-                    continue
-                if target.nullable:
-                    return depth + 1
-                seen.add(target)
-                queue.append((target, depth + 1))
-        return NO_MEMBER
-
-    def max_length(self, regex):
-        """Length of a longest member: ``None`` if empty, ``UNBOUNDED``
-        if the language is infinite, else an exact integer."""
-        live = self._live_states(regex)
-        if regex not in live:
-            return NO_MEMBER
-        # longest path among live states; a cycle within live states
-        # means unbounded members
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {}
-        longest = {}
-
-        def dfs(state):
-            color[state] = GREY
-            best = 0 if state.nullable else NO_MEMBER
-            for _, target in self.dfa.row(state):
-                if target not in live:
-                    continue
-                mark = color.get(target, WHITE)
-                if mark == GREY:
-                    raise _Unbounded
-                if mark == WHITE:
-                    dfs(target)
-                sub = longest[target]
-                if sub is not NO_MEMBER:
-                    candidate = sub + 1
-                    if best is NO_MEMBER or candidate > best:
-                        best = candidate
-            color[state] = BLACK
-            longest[state] = best
-
-        try:
-            dfs(regex)
-        except _Unbounded:
-            return UNBOUNDED
-        return longest[regex]
-
-    def length_window(self, regex):
-        """(min, max) member lengths, exact."""
-        return self.min_length(regex), self.max_length(regex)
-
-    def _live_states(self, regex):
-        """States that can reach a nullable state (non-empty suffix
-        languages)."""
-        # forward exploration
-        seen = {regex}
-        stack = [regex]
-        predecessors = {}
-        while stack:
-            state = stack.pop()
-            for _, target in self.dfa.row(state):
-                if target is self.builder.empty:
-                    continue
-                predecessors.setdefault(target, set()).add(state)
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(target)
-        # backward closure from nullable states
-        live = {s for s in seen if s.nullable}
-        stack = list(live)
-        while stack:
-            state = stack.pop()
-            for pred in predecessors.get(state, ()):
-                if pred not in live:
-                    live.add(pred)
-                    stack.append(pred)
-        return live
-
-
-class _Unbounded(Exception):
-    pass

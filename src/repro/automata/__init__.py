@@ -7,14 +7,10 @@ from repro.automata.ops import (
     complement, determinize, nfa_concat, nfa_star, nfa_union, product,
     remove_epsilons,
 )
-from repro.automata.minimize import equivalent, minimize
-from repro.automata.eager import EagerSolver, eager_compile
-from repro.automata.to_regex import to_regex
+from repro.automata.eager import eager_compile
 
 __all__ = [
     "SFA", "StateBudget", "thompson",
     "remove_epsilons", "determinize", "complement", "product",
-    "nfa_union", "nfa_concat", "nfa_star",
-    "minimize", "equivalent",
-    "eager_compile", "EagerSolver", "to_regex",
+    "nfa_union", "nfa_concat", "nfa_star", "eager_compile",
 ]

@@ -14,7 +14,7 @@ StateBudget` blows before emptiness is ever checked, while the lazy
 derivative solver answers in a handful of states.
 """
 
-from repro.errors import BudgetExceeded, refuse_lookarounds
+from repro.errors import refuse_lookarounds
 from repro.regex.ast import (
     COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOP, PRED, UNION,
     fold_postorder,
@@ -96,36 +96,3 @@ def _optional(sfa, budget):
 def _epsilon_sfa(algebra, budget):
     budget.charge()
     return SFA(algebra, 1, 0, {0}, {}, None, deterministic=True)
-
-
-class EagerSolver:
-    """Baseline satisfiability solver over eager automata.
-
-    Mirrors the legacy Z3 regex solver the paper replaced: convert the
-    whole constraint to an automaton with Boolean operations, then
-    check emptiness.  ``max_states`` converts state blowup into a
-    budget failure, the deterministic analogue of a timeout.
-    """
-
-    def __init__(self, builder, max_states=200000):
-        self.builder = builder
-        self.algebra = builder.algebra
-        self.max_states = max_states
-
-    def is_satisfiable(self, regex, budget=None):
-        from repro.solver.result import SAT, SolverResult, UNKNOWN, UNSAT
-
-        states = StateBudget(self.max_states)
-        try:
-            sfa = eager_compile(self.algebra, regex, states)
-            empty, witness = sfa.is_empty()
-        except BudgetExceeded as exc:
-            return SolverResult(UNKNOWN, reason=str(exc),
-                                stats={"states_created": states.created})
-        stats = {
-            "states_created": states.created,
-            "final_states": sfa.num_states,
-        }
-        if empty:
-            return SolverResult(UNSAT, stats=stats)
-        return SolverResult(SAT, witness=witness, stats=stats)

@@ -1,14 +1,9 @@
 """Derivative-based matching over concrete strings (paper, §8.5):
 the SRM-style counterpart of the solver, sharing the same derivative
 engine but never needing conditionals because the next character is
-always known.  Includes an exact three-valued online monitor
-(the [54, 56] application)."""
+always known."""
 
 from repro.matcher.dfa_cache import LazyDfa
 from repro.matcher.matcher import Match, RegexMatcher, compile_pattern
-from repro.matcher.monitor import FAILED, MATCHING, Monitor, PENDING
 
-__all__ = [
-    "LazyDfa", "RegexMatcher", "Match", "compile_pattern",
-    "Monitor", "MATCHING", "PENDING", "FAILED",
-]
+__all__ = ["LazyDfa", "RegexMatcher", "Match", "compile_pattern"]

@@ -80,8 +80,9 @@ class RegexBuilder:
     # -- leaves ---------------------------------------------------------------
 
     def pred(self, phi):
-        """Single-character language ``[[phi]]``."""
-        if not self.algebra.is_sat(phi):
+        """Single-character language ``[[phi]]``; ``phi`` must be a
+        predicate of this builder's algebra."""
+        if not self.algebra.is_sat(self.algebra.owned(phi)):
             return self.empty
         return self._intern(PRED, phi, (), None, None, nullable=False)
 
@@ -344,10 +345,6 @@ class RegexBuilder:
     def contains(self, r):
         """``.*R.*`` — all strings with a factor in ``L(R)``."""
         return self.concat([self.full, r, self.full])
-
-    def not_contains(self, r):
-        """``~(.*R.*)`` — all strings avoiding factors in ``L(R)``."""
-        return self.compl(self.contains(r))
 
     def starts_with(self, r):
         """``R.*``."""

@@ -1,8 +1,8 @@
 """repro.serve — the batched, sharded parallel solving layer.
 
-Fans a stream of problems (SMT-LIB files, JSONL job files, or
-in-process formulas) across a pool of worker processes, each owning its
-own :class:`~repro.regex.builder.RegexBuilder` / solvers / persistent
+Fans a stream of problems (SMT-LIB files or JSONL job files) across a
+pool of worker processes, each owning its own
+:class:`~repro.regex.builder.RegexBuilder` / solvers / persistent
 graph ``G``, with deterministic per-task fuel budgets, crash and hang
 isolation (a dead or wedged worker becomes a structured ``error`` /
 ``unknown`` record, never a batch-aborting traceback), bounded
@@ -31,8 +31,7 @@ from repro.serve.admission import Admission, AdmissionController, TokenBucket
 from repro.serve.client import DaemonClient, DaemonError, parse_address
 from repro.serve.daemon import SolverDaemon
 from repro.serve.jobs import (
-    Job, jobs_from_directory, jobs_from_files, jobs_from_formulas,
-    jobs_from_jsonl, load_jobs,
+    Job, jobs_from_directory, jobs_from_files, jobs_from_jsonl, load_jobs,
 )
 from repro.serve.pool import (
     DEFAULT_REAP_GRACE, PoolInterrupted, WorkerPool, solve_batch,
@@ -40,8 +39,8 @@ from repro.serve.pool import (
 from repro.serve.report import BatchReport, TaskResult, merge_numeric
 
 __all__ = [
-    "Job", "jobs_from_directory", "jobs_from_files", "jobs_from_formulas",
-    "jobs_from_jsonl", "load_jobs",
+    "Job", "jobs_from_directory", "jobs_from_files", "jobs_from_jsonl",
+    "load_jobs",
     "WorkerPool", "solve_batch", "DEFAULT_REAP_GRACE", "PoolInterrupted",
     "BatchReport", "TaskResult", "merge_numeric",
     "SolverDaemon", "DaemonClient", "DaemonError", "parse_address",

@@ -28,8 +28,6 @@ Job kinds:
 import json
 import os
 
-from repro.smtlib.writer import script_text
-
 KINDS = ("smt2", "pattern", "bench", "crash")
 
 
@@ -123,24 +121,6 @@ def jobs_from_jsonl(path):
                 entry[kind],
                 expected=entry.get("expected"),
             ))
-    return jobs
-
-
-def jobs_from_formulas(formulas, algebra, names=None, expected=None):
-    """Jobs from in-process :class:`~repro.solver.formula.Formula`
-    objects, serialized to SMT-LIB text for transport.
-
-    ``names`` and ``expected`` are optional parallel sequences.
-    """
-    jobs = []
-    for i, formula in enumerate(formulas):
-        label = expected[i] if expected is not None else None
-        jobs.append(Job(
-            names[i] if names is not None else "formula-%d" % i,
-            "smt2",
-            script_text(formula, algebra, status=label),
-            expected=label,
-        ))
     return jobs
 
 

@@ -160,10 +160,6 @@ class RegexGraph:
         return len(self._dead)
 
     @property
-    def alive_count(self):
-        return len(self._alive)
-
-    @property
     def edge_count(self):
         """Edges currently in the graph.  Unlike ``edges_added`` (a
         monotone counter that keeps counting retired edges), this is a

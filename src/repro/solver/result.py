@@ -110,7 +110,7 @@ class SolverResult:
         return self.status == UNKNOWN
 
     def to_dict(self):
-        """JSON-serializable view (used by the CLI and bench export)."""
+        """JSON-serializable view of the result."""
         out = {
             "status": self.status,
             "witness": self.witness,

@@ -23,9 +23,9 @@ Kinds:
 * ``smt2`` — ``script``/``expected``: the mini-SMT front end on an
   SMT-LIB script;
 * ``print`` — ``pattern`` (or a ``repeat`` spec for deep nesting):
-  parse, print, reparse to the identical node, serialize to SMT-LIB,
-  compute structural bounds and one simplification pass — none of
-  which may crash, however deep the term.
+  parse, print, reparse to the identical node, serialize to SMT-LIB
+  and compute structural bounds — none of which may crash, however
+  deep the term.
 """
 
 import json
@@ -165,7 +165,6 @@ def _replay_smt2(builder, entry):
 def _replay_print(builder, entry):
     from repro.analysis.lengths import structural_max, structural_min
     from repro.regex import parse, to_pattern
-    from repro.regex.simplify import simplify
     from repro.smtlib.writer import regex_to_smtlib
 
     pattern = entry_pattern(entry)
@@ -177,5 +176,4 @@ def _replay_print(builder, entry):
     regex_to_smtlib(regex, builder.algebra)
     structural_min(regex)
     structural_max(regex)
-    simplify(builder, regex)
     return True, "printed and reparsed %d chars" % len(text)

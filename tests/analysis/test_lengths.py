@@ -1,21 +1,14 @@
-"""Length analysis: structural bounds and exact DFA-based values."""
+"""Structural length bounds against language enumeration."""
 
 from hypothesis import given, settings
 
 from repro.analysis.lengths import (
-    LengthAnalysis, NO_MEMBER, UNBOUNDED, structural_max, structural_min,
+    NO_MEMBER, UNBOUNDED, structural_max, structural_min,
 )
 from repro.regex import parse
 from repro.regex.semantics import Matcher, enumerate_strings
 from tests.conftest import ALPHABET
 from tests.strategies import extended_regexes, standard_regexes
-
-import pytest
-
-
-@pytest.fixture
-def analysis(bitset_builder):
-    return LengthAnalysis(bitset_builder)
 
 
 def brute_lengths(matcher, regex, horizon=5):
@@ -70,46 +63,3 @@ class TestStructural:
         assert structural_min(parse(b, "~(a*)")) == 1
         assert structural_min(parse(b, "~(ab)")) == 0
         assert structural_max(parse(b, "(a|b){2}&.{0,9}")) == 2
-
-
-class TestExact:
-    def test_exact_vs_enumeration(self, bitset_builder):
-        analysis = LengthAnalysis(bitset_builder)
-        matcher = Matcher(bitset_builder.algebra)
-
-        @settings(max_examples=100, deadline=None)
-        @given(extended_regexes(bitset_builder, max_leaves=4))
-        def check(r):
-            lo, hi = brute_lengths(matcher, r, horizon=4)
-            exact_lo = analysis.min_length(r)
-            exact_hi = analysis.max_length(r)
-            if lo is None:
-                assert exact_lo is NO_MEMBER or exact_lo > 4
-            else:
-                assert exact_lo == lo
-                if exact_hi is not UNBOUNDED:
-                    assert exact_hi >= hi
-
-        check()
-
-    def test_min_of_complement_tight(self, analysis, bitset_builder):
-        # ~(.{0,2}) has minimum length 3 — the structural bound (1) is
-        # loose, the exact analysis is not
-        r = parse(bitset_builder, "~(.{0,2})")
-        assert analysis.min_length(r) == 3
-
-    def test_max_finite(self, analysis, bitset_builder):
-        r = parse(bitset_builder, "(a|b){2,5}&~(.{4,})")
-        assert analysis.max_length(r) == 3
-
-    def test_max_unbounded(self, analysis, bitset_builder):
-        assert analysis.max_length(parse(bitset_builder, "a+")) is UNBOUNDED
-
-    def test_empty_language(self, analysis, bitset_builder):
-        r = parse(bitset_builder, "a&b")
-        assert analysis.min_length(r) is NO_MEMBER
-        assert analysis.max_length(r) is NO_MEMBER
-
-    def test_window(self, analysis, bitset_builder):
-        r = parse(bitset_builder, "a{2,4}")
-        assert analysis.length_window(r) == (2, 4)

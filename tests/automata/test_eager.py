@@ -1,11 +1,13 @@
-"""The eager compiler: full ERE support, oracle agreement, blowup."""
+"""The eager compiler: full ERE support, oracle agreement, blowup,
+and the eager baseline solver built on it."""
 
 from hypothesis import given, settings
 
-from repro.automata.eager import EagerSolver, eager_compile
+from repro.automata.eager import eager_compile
 from repro.automata.sfa import StateBudget
 from repro.regex import parse
 from repro.regex.semantics import Matcher
+from repro.solver.baselines import EagerAutomataSolver
 from tests.strategies import extended_regexes, short_strings
 
 
@@ -23,7 +25,7 @@ def test_language_agreement_full_ere(bitset_builder):
 
 
 def test_solver_interface(bitset_builder, bitset_matcher):
-    solver = EagerSolver(bitset_builder)
+    solver = EagerAutomataSolver(bitset_builder)
     r = parse(bitset_builder, "(.*0.*)&~(.*01.*)")
     result = solver.is_satisfiable(r)
     assert result.is_sat
@@ -31,7 +33,7 @@ def test_solver_interface(bitset_builder, bitset_matcher):
 
 
 def test_solver_unsat(bitset_builder):
-    solver = EagerSolver(bitset_builder)
+    solver = EagerAutomataSolver(bitset_builder)
     assert solver.is_satisfiable(
         parse(bitset_builder, "~(a*)&a*")
     ).is_unsat
@@ -41,13 +43,13 @@ def test_states_created_grows_with_loop_bounds(bitset_builder):
     """Eagerness quantified: the whole state space is built before the
     (trivially answerable) question is asked."""
     b = bitset_builder
-    small = EagerSolver(b).is_satisfiable(parse(b, ".{4}a"))
-    large = EagerSolver(b).is_satisfiable(parse(b, ".{64}a"))
+    small = EagerAutomataSolver(b).is_satisfiable(parse(b, ".{4}a"))
+    large = EagerAutomataSolver(b).is_satisfiable(parse(b, ".{64}a"))
     assert large.stats["states_created"] > 8 * small.stats["states_created"]
 
 
 def test_budget_failure_is_unknown(bitset_builder):
-    solver = EagerSolver(bitset_builder, max_states=10)
+    solver = EagerAutomataSolver(bitset_builder, max_states=10)
     result = solver.is_satisfiable(parse(bitset_builder, "~(.*ab.{6})"))
     assert result.is_unknown
 

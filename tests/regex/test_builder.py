@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.alphabet import IntervalAlgebra
+from repro.alphabet import BDDAlgebra, BitsetAlgebra, IntervalAlgebra
 from repro.errors import AlgebraError
 from repro.regex import RegexBuilder
 from repro.regex.ast import INF, PRED
@@ -201,6 +201,32 @@ def test_foreign_operands_are_refused(shape):
     assert a1.uid == x2.uid
     with pytest.raises(AlgebraError, match="different builder"):
         FOREIGN_OPERANDS[shape](b1, b2, a1, x2)
+
+
+#: A builder's algebra and a satisfiable predicate of another algebra
+#: of the same kind over a different domain.
+FOREIGN_PREDICATES = {
+    "interval": lambda: (
+        IntervalAlgebra(127), IntervalAlgebra(255).from_ranges([(200, 250)]),
+    ),
+    "bitset": lambda: (
+        BitsetAlgebra("ab01"), BitsetAlgebra("ab01").from_chars("a"),
+    ),
+    "bdd": lambda: (BDDAlgebra(7), BDDAlgebra(8).from_ranges([(97, 98)])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FOREIGN_PREDICATES))
+def test_foreign_predicates_are_refused(kind):
+    algebra, phi = FOREIGN_PREDICATES[kind]()
+    with pytest.raises(AlgebraError):
+        RegexBuilder(algebra).pred(phi)
+
+
+def test_same_domain_interval_sets_are_shared():
+    builder = RegexBuilder(IntervalAlgebra(127))
+    phi = IntervalAlgebra(255).from_ranges([(97, 98)])
+    assert builder.pred(phi) is builder.ranges([(97, 98)])
 
 
 def test_nullability_concat_union_inter(bitset_builder):

@@ -100,12 +100,6 @@ class TestDeepStructuralPasses:
         assert structural_min(regex) == 2
         assert structural_max(regex) == self.DEPTH + 1
 
-    def test_simplify(self, deep):
-        from repro.regex.simplify import simplify_fixpoint
-
-        builder, regex = deep
-        assert simplify_fixpoint(builder, regex) is regex
-
     def test_depth_is_iterative_too(self, deep):
         _, regex = deep
         assert regex.depth() == 2 * self.DEPTH

@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.alphabet import IntervalAlgebra
-from repro.regex import RegexBuilder
-from repro.serve import (
-    Job, jobs_from_directory, jobs_from_formulas, jobs_from_jsonl, load_jobs,
-)
-from repro.solver.formula import InRe
+from repro.serve import Job, jobs_from_directory, jobs_from_jsonl, load_jobs
 
 
 def test_job_rejects_unknown_kind():
@@ -57,16 +52,6 @@ def test_jobs_from_jsonl_rejects_bad_lines(tmp_path):
     path.write_text("not json\n")
     with pytest.raises(ValueError, match="bad JSON"):
         jobs_from_jsonl(str(path))
-
-
-def test_jobs_from_formulas_roundtrips_to_smt2():
-    builder = RegexBuilder(IntervalAlgebra())
-    formula = InRe("s", builder.char("a"))
-    jobs = jobs_from_formulas([formula], builder.algebra, names=["f0"],
-                              expected=["sat"])
-    assert jobs[0].kind == "smt2"
-    assert "str.in_re" in jobs[0].payload
-    assert jobs[0].expected == "sat"
 
 
 def test_load_jobs_dispatch(tmp_path):

@@ -89,3 +89,16 @@ def test_bottom_and_epsilon(bmp_builder):
     assert regex_to_smtlib(b.empty, b.algebra) == "re.none"
     assert regex_to_smtlib(b.epsilon, b.algebra) == '(str.to_re "")'
     assert regex_to_smtlib(b.dot, b.algebra) == "re.allchar"
+
+
+def test_written_scripts_solve_to_their_labels(bmp_builder):
+    from repro.bench.generators import passwords
+    from repro.smtlib.interp import run_script
+    from repro.solver import Budget
+
+    b = bmp_builder
+    for problem in passwords.generate(b)[:8]:
+        text = script_text(problem.formula, b.algebra, status=problem.expected)
+        result = run_script(b, text, budget=Budget(500000, 20.0))
+        assert result.status == problem.expected, problem.name
+        assert result.stats["expected"] == problem.expected

@@ -126,6 +126,19 @@ def test_unknown_branch_does_not_mask_sat(bitset_builder):
     assert solver.solve(f).is_sat
 
 
+def test_graph_persists_across_solves(solver, bitset_builder):
+    """Section 5's graph ``G`` outlives a query: the second solve of a
+    dead constraint reads its Dead mark instead of exploring again."""
+    dead = inre(bitset_builder, "x", "(ab)+&~(a(ba)*b)")
+    # one step of fuel does not refute it from scratch
+    fresh = SmtSolver(bitset_builder)
+    assert fresh.solve(dead, budget=Budget(fuel=1)).is_unknown
+    assert solver.solve(dead).is_unsat
+    vertices = solver.engine.graph.stats()["vertices"]
+    assert solver.solve(dead, budget=Budget(fuel=1)).is_unsat
+    assert solver.engine.graph.stats()["vertices"] == vertices
+
+
 class TestWitnessValidation:
     """A sat verdict is only reported once the engine's witness has been
     checked against both theories; a broken engine degrades to unknown

@@ -1,9 +1,10 @@
-"""Property tests for the bisimulation equivalence checker.
+"""Property tests for ``RegexSolver.equivalent``.
 
 Three oracles, on all three alphabet algebras:
 
-* agreement with ``RegexSolver.equivalent`` (symmetric-difference
-  emptiness) — two entirely different algorithms for one question;
+* agreement with the eager automata baseline on the emptiness of the
+  symmetric difference — two entirely different algorithms for one
+  question, exercised on both answers;
 * metamorphic invariance: equivalence is preserved by reversal and by
   complementation of both sides;
 * witness validity: a claimed distinguishing string must actually be
@@ -18,11 +19,14 @@ from repro.alphabet import BDDAlgebra, BitsetAlgebra, IntervalAlgebra
 from repro.regex import RegexBuilder, reverse, to_pattern
 from repro.regex.semantics import Matcher
 from repro.solver import Budget, RegexSolver
-from repro.solver.equivalence import BisimulationChecker
+from repro.solver.baselines import EagerAutomataSolver
 from repro.verify.campaign import RegexGen
 
 ALPHABET = "ab01"
 CASES = 25
+DECIDED = ("sat", "unsat")
+#: Concrete agreements the cross-check must reach on each answer.
+MIN_AGREEMENTS = 20
 
 
 def _budget():
@@ -49,24 +53,48 @@ def _pairs(builder, seed, count=CASES):
         yield gen.regex(rng.randint(1, 3)), gen.regex(rng.randint(1, 3))
 
 
-def test_bisimulation_agrees_with_symmetric_difference(builder):
-    checker = BisimulationChecker(builder)
+def _de_morgan_pairs(builder, seed, count=CASES):
+    """``~(l|r)`` against ``~l&~r``: equivalent by construction."""
+    for left, right in _pairs(builder, seed, count):
+        yield (
+            builder.compl(builder.union([left, right])),
+            builder.inter([builder.compl(left), builder.compl(right)]),
+        )
+
+
+def _symmetric_difference(builder, left, right):
+    return builder.union([
+        builder.inter([left, builder.compl(right)]),
+        builder.inter([right, builder.compl(left)]),
+    ])
+
+
+def test_equivalent_agrees_with_eager_baseline(builder):
     solver = RegexSolver(builder)
-    for left, right in _pairs(builder, seed=1):
-        bis = checker.equivalent(left, right, _budget())
-        ref = solver.equivalent(left, right, _budget())
-        if bis.status in ("sat", "unsat") and ref.status in ("sat", "unsat"):
-            assert bis.status == ref.status, (
+    eager = EagerAutomataSolver(builder)
+    agreed = {"sat": 0, "unsat": 0}
+    pairs = list(_pairs(builder, seed=1))
+    pairs += _de_morgan_pairs(builder, seed=1)
+    for left, right in pairs:
+        verdict = solver.equivalent(left, right, _budget())
+        baseline = eager.is_satisfiable(
+            _symmetric_difference(builder, left, right)
+        )
+        if verdict.status in DECIDED and baseline.status in DECIDED:
+            # equivalent exactly when the symmetric difference is empty
+            assert (verdict.status == "sat") == (baseline.status == "unsat"), (
                 to_pattern(left, builder.algebra),
                 to_pattern(right, builder.algebra),
             )
+            agreed[verdict.status] += 1
+    assert min(agreed.values()) >= MIN_AGREEMENTS, agreed
 
 
 def test_distinguishing_witness_is_valid(builder):
-    checker = BisimulationChecker(builder)
+    solver = RegexSolver(builder)
     matcher = Matcher(builder.algebra)
     for left, right in _pairs(builder, seed=2):
-        result = checker.equivalent(left, right, _budget())
+        result = solver.equivalent(left, right, _budget())
         if result.status != "unsat" or result.witness is None:
             continue
         witness = result.witness
@@ -78,35 +106,33 @@ def test_distinguishing_witness_is_valid(builder):
 
 
 def test_equivalence_invariant_under_reversal(builder):
-    checker = BisimulationChecker(builder)
+    solver = RegexSolver(builder)
     for left, right in _pairs(builder, seed=3):
-        direct = checker.equivalent(left, right, _budget())
-        rev = checker.equivalent(
+        direct = solver.equivalent(left, right, _budget())
+        rev = solver.equivalent(
             reverse(builder, left), reverse(builder, right), _budget()
         )
-        if direct.status in ("sat", "unsat") and \
-                rev.status in ("sat", "unsat"):
+        if direct.status in DECIDED and rev.status in DECIDED:
             assert direct.status == rev.status
 
 
 def test_equivalence_invariant_under_complement(builder):
-    checker = BisimulationChecker(builder)
+    solver = RegexSolver(builder)
     for left, right in _pairs(builder, seed=4):
-        direct = checker.equivalent(left, right, _budget())
-        comp = checker.equivalent(
+        direct = solver.equivalent(left, right, _budget())
+        comp = solver.equivalent(
             builder.compl(left), builder.compl(right), _budget()
         )
-        if direct.status in ("sat", "unsat") and \
-                comp.status in ("sat", "unsat"):
+        if direct.status in DECIDED and comp.status in DECIDED:
             assert direct.status == comp.status
 
 
 def test_self_equivalence_and_absorption(builder):
-    checker = BisimulationChecker(builder)
+    solver = RegexSolver(builder)
     rng = random.Random(6)
     gen = RegexGen(rng, builder, ALPHABET)
     for _ in range(CASES):
         regex = gen.regex(rng.randint(1, 3))
-        assert checker.equivalent(regex, regex, _budget()).status == "sat"
+        assert solver.equivalent(regex, regex, _budget()).status == "sat"
         doubled = builder.union([regex, regex])
-        assert checker.equivalent(regex, doubled, _budget()).status == "sat"
+        assert solver.equivalent(regex, doubled, _budget()).status == "sat"
