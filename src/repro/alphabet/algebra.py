@@ -31,6 +31,12 @@ class BooleanAlgebra(ABC):
     Subclasses choose the predicate representation.  Predicates are
     opaque values as far as clients are concerned; only the operations
     below may be used to combine or inspect them.
+
+    Every predicate carries an integer ``key``, which tables on the
+    solve path use in place of hashing the predicate.  The contract:
+    two predicates of one algebra with the same ``key`` denote the same
+    set, and canonical predicates that are equal share a key.  Keys are
+    never serialized.
     """
 
     # -- telemetry hooks ----------------------------------------------------

@@ -9,14 +9,21 @@ backbone as an alternative to interval sets, and the benchmark suite
 compares the two.
 """
 
+import itertools
+
 from repro.alphabet.algebra import BooleanAlgebra
 from repro.errors import AlgebraError
+
+#: Mints the ``key`` of every BDD node and terminal at creation.  Nodes
+#: are canonical per manager, so within one algebra equal keys are one
+#: node and equal sets are one key.
+_keys = itertools.count()
 
 
 class BDDNode:
     """An interned BDD node: branch on ``var`` (bit index, 0 = MSB)."""
 
-    __slots__ = ("var", "lo", "hi", "manager_id", "_hash")
+    __slots__ = ("var", "lo", "hi", "manager_id", "_hash", "key")
 
     def __init__(self, var, lo, hi, manager_id):
         self.var = var
@@ -24,6 +31,7 @@ class BDDNode:
         self.hi = hi  # child when the bit is 1
         self.manager_id = manager_id
         self._hash = hash((var, id(lo), id(hi), manager_id))
+        self.key = next(_keys)
 
     def __hash__(self):
         return self._hash
@@ -33,10 +41,11 @@ class BDDNode:
 
 
 class _Terminal:
-    __slots__ = ("value",)
+    __slots__ = ("value", "key")
 
     def __init__(self, value):
         self.value = value
+        self.key = next(_keys)
 
     def __repr__(self):
         return "BDD-%s" % ("TRUE" if self.value else "FALSE")

@@ -29,6 +29,11 @@ class BitsetPred:
     def __hash__(self):
         return hash((self.mask, self.algebra_id))
 
+    @property
+    def key(self):
+        """The mask: within one algebra, equal masks are equal sets."""
+        return self.mask
+
     def __repr__(self):
         return "BitsetPred(%s)" % bin(self.mask)
 

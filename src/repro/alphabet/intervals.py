@@ -14,10 +14,23 @@ object per set, and per-algebra caches answer repeated ``conj``,
 merge.  Equality stays structural, so a set from another algebra, a
 snapshot or a cleared table still compares (and hashes) equal to its
 canonical twin; identity is only a fast path.
+
+The caches key by each set's integer ``key``, drawn once per object
+from one process-wide counter: it works like ``id()`` except that a
+key is never reused, so equal keys always mean the same object and
+hence the same set.  A key taken from one algebra's unique table would
+be unsound, because ``owned`` accepts a same-domain set of another
+algebra, so one object can be canonical in two algebras.  Canonical
+sets merely raise the caches' hit rates; no answer depends on them.
 """
+
+import itertools
 
 from repro.alphabet.algebra import BooleanAlgebra
 from repro.errors import AlgebraError
+
+#: Mints every :class:`CharSet`'s ``key``; never reset, so never reused.
+_keys = itertools.count()
 
 #: Highest codepoint of the Basic Multilingual Plane (Plane 0).
 BMP_MAX = 0xFFFF
@@ -40,14 +53,17 @@ class CharSet:
 
     ``ranges`` is a tuple of ``(lo, hi)`` pairs, inclusive on both ends,
     sorted, pairwise disjoint, and with no two ranges adjacent (so the
-    representation of any set is unique).
+    representation of any set is unique).  ``key`` is unique to this
+    object in the process (see the module docstring); it is never
+    serialized.
     """
 
-    __slots__ = ("ranges", "_hash")
+    __slots__ = ("ranges", "_hash", "key")
 
     def __init__(self, ranges):
         self.ranges = tuple(ranges)
         self._hash = hash(self.ranges)
+        self.key = next(_keys)
 
     @staticmethod
     def normalize(pairs):
@@ -233,7 +249,7 @@ class IntervalAlgebra(BooleanAlgebra):
             return psi
         if psi is self._top:
             return phi
-        key = (phi, psi)
+        key = (phi.key, psi.key)
         result = self._conj_cache.get(key)
         if result is None:
             result = self._conj_cache[key] = self._canonical(
@@ -247,7 +263,7 @@ class IntervalAlgebra(BooleanAlgebra):
             return psi
         if psi is self._bot:
             return phi
-        key = (phi, psi)
+        key = (phi.key, psi.key)
         result = self._disj_cache.get(key)
         if result is None:
             result = self._disj_cache[key] = self._canonical(_union(phi, psi))
@@ -255,9 +271,9 @@ class IntervalAlgebra(BooleanAlgebra):
 
     def neg(self, phi):
         self._op_count += 1
-        result = self._neg_cache.get(phi)
+        result = self._neg_cache.get(phi.key)
         if result is None:
-            result = self._neg_cache[phi] = self._canonical(
+            result = self._neg_cache[phi.key] = self._canonical(
                 _complement(phi, self.max_code)
             )
         return result
@@ -283,9 +299,9 @@ class IntervalAlgebra(BooleanAlgebra):
         """Pick a member, preferring printable ASCII for readable models."""
         if not phi.ranges:
             raise AlgebraError("cannot pick from the empty predicate")
-        char = self._pick_cache.get(phi)
+        char = self._pick_cache.get(phi.key)
         if char is None:
-            char = self._pick_cache[phi] = _pick(phi)
+            char = self._pick_cache[phi.key] = _pick(phi)
         return char
 
     def _in_domain_code(self, char):

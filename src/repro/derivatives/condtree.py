@@ -24,6 +24,7 @@ from repro.obs import Observability
 from repro.regex.ast import (
     COMPL, CONCAT, EMPTY, EPSILON, INF, INTER, LOOP, PRED, UNION,
 )
+from repro.regex.builder import _foreign
 
 
 class Leaf:
@@ -72,11 +73,14 @@ class DerivativeEngine:
         self.builder = builder
         self.algebra = builder.algebra
         self.obs = obs if obs is not None else Observability()
-        self._trees = {}       # structural key -> interned tree
-        self._leaves = {}      # frozenset key -> interned Leaf
+        # every table keys by integers: regex and tree uids, and the
+        # predicates' ``key`` (equal keys denote equal sets)
+        self._trees = {}       # (pred key, uid, uid) -> interned tree
+        self._leaves = {}      # frozenset of regex uids -> interned Leaf
         self._next_uid = 0
         self._deriv_memo = {}  # regex uid -> tree
-        self._meld_memo = {}   # (op, uid, uid, path) -> tree
+        self._meld_memo = {}   # (op, uid, uid, path key) -> tree
+        self._restrict_memo = {}  # (uid, path key) -> tree
         # hot-path counters are plain ints (a bare ``+=`` beats even a
         # no-op method call at derivative/meld frequencies); the
         # registry's ``deriv`` scope reads them in place at snapshot time
@@ -136,7 +140,7 @@ class DerivativeEngine:
         """Interned decision node; collapses equal branches."""
         if then is other:
             return then
-        key = (pred, then.uid, other.uid)
+        key = (pred.key, then.uid, other.uid)
         cached = self._trees.get(key)
         if cached is None:
             cached = Node(pred, then, other, self._next_uid)
@@ -183,7 +187,7 @@ class DerivativeEngine:
         algebra = self.algebra
         if a.is_leaf and b.is_leaf:
             return self._leaf_combine(op, a, b)
-        key = (op, a.uid, b.uid, path)
+        key = (op, a.uid, b.uid, path.key)
         cached = self._meld_memo.get(key)
         if cached is not None:
             self.meld_memo_hits += 1
@@ -219,22 +223,33 @@ class DerivativeEngine:
         return result
 
     def _restrict(self, tree, path):
-        """Prune branches of ``tree`` that are unsat under ``path``."""
+        """Prune branches of ``tree`` that are unsat under ``path``.
+
+        Memoized: a hit returns the very node the recursion would
+        re-intern, since ``compact`` keeps an entry only while its tree
+        and its result both stay interned."""
         if tree.is_leaf:
             return tree
+        key = (tree.uid, path.key)
+        cached = self._restrict_memo.get(key)
+        if cached is not None:
+            return cached
         algebra = self.algebra
         then_path = algebra.conj(path, tree.pred)
         else_path = algebra.conj(path, algebra.neg(tree.pred))
         self.sat_checks += 2
         if not algebra.is_sat(then_path):
-            return self._restrict(tree.other, path)
-        if not algebra.is_sat(else_path):
-            return self._restrict(tree.then, path)
-        return self.node(
-            tree.pred,
-            self._restrict(tree.then, then_path),
-            self._restrict(tree.other, else_path),
-        )
+            result = self._restrict(tree.other, path)
+        elif not algebra.is_sat(else_path):
+            result = self._restrict(tree.then, path)
+        else:
+            result = self.node(
+                tree.pred,
+                self._restrict(tree.then, then_path),
+                self._restrict(tree.other, else_path),
+            )
+        self._restrict_memo[key] = result
+        return result
 
     def negate(self, tree):
         """Dual tree: complement every leaf (Lemma 4.2 at tree level)."""
@@ -264,6 +279,10 @@ class DerivativeEngine:
         (:mod:`repro.regex.transform`) before reaching this engine.
         """
         refuse_lookarounds(regex, "conditional-tree derivatives")
+        # uids are per builder: another builder's regex would answer
+        # from this builder's memo entry of the same uid
+        if regex.owner is not self.builder:
+            raise _foreign(regex)
         return self._tree(regex)
 
     def _tree(self, regex):
@@ -319,11 +338,11 @@ class DerivativeEngine:
     # -- lifecycle -----------------------------------------------------------------
 
     def cache_entries(self):
-        """Total entries across the engine's four tables (used by the
+        """Total entries across the engine's five tables (used by the
         lifecycle layer's accounting)."""
         return (
-            len(self._trees) + len(self._leaves)
-            + len(self._deriv_memo) + len(self._meld_memo)
+            len(self._trees) + len(self._leaves) + len(self._deriv_memo)
+            + len(self._meld_memo) + len(self._restrict_memo)
         )
 
     def compact(self, live):
@@ -331,8 +350,9 @@ class DerivativeEngine:
         of uid -> regex built by :class:`repro.solver.lifecycle.EngineState`).
 
         Keeps the derivative memo entries of live regexes, the interned
-        trees reachable from those entries, and the meld memo entries
-        whose operands and result all survive.  Tree uids are never
+        trees reachable from those entries, the meld memo entries whose
+        operands and result all survive, and the restriction memo
+        entries whose tree and result both survive.  Tree uids are never
         reused (``_next_uid`` is untouched), so interning stays sound
         for any tree a caller might still hold.  Returns the number of
         retired entries.
@@ -353,7 +373,7 @@ class DerivativeEngine:
                 stack.append(t.other)
         self._deriv_memo = kept_memo
         self._trees = {
-            (t.pred, t.then.uid, t.other.uid): t
+            (t.pred.key, t.then.uid, t.other.uid): t
             for t in live_trees.values() if not t.is_leaf
         }
         self._leaves = {
@@ -365,6 +385,10 @@ class DerivativeEngine:
             key: tree for key, tree in self._meld_memo.items()
             if key[1] in live_trees and key[2] in live_trees
             and tree.uid in live_trees
+        }
+        self._restrict_memo = {
+            key: tree for key, tree in self._restrict_memo.items()
+            if key[0] in live_trees and tree.uid in live_trees
         }
         return before - self.cache_entries()
 

@@ -18,6 +18,7 @@ from repro.derivatives.condtree import DerivativeEngine
 from repro.errors import BudgetExceeded, ReproError, UnsupportedError
 from repro.obs import Observability
 from repro.obs.explain import Explanation
+from repro.regex.builder import _foreign
 from repro.regex.transform import eliminate_lookarounds
 from repro.solver.graph import RegexGraph
 from repro.solver.lifecycle import EngineState
@@ -85,14 +86,14 @@ class RegexSolver:
         self.obs.metrics.scope("store").read_from(self._store_counters)
         #: the cross-query compiled-fragment store (repro.solver.store)
         self.store = None
-        #: node -> full transition rows instantiated from the store;
-        #: consulted before the derivative engine, pinned against
-        #: compaction through the EngineState root provider
+        #: uid -> (node, full transition rows) instantiated from the
+        #: store; consulted before the derivative engine, pinned
+        #: against compaction through the EngineState root provider
         self._warm_rows = {}
-        #: node -> (LazyFragment, state index) for fragment states not
-        #: yet materialized; _edges promotes entries into _warm_rows as
-        #: exploration reaches them, so warm work stays proportional to
-        #: the explored prefix (an early sat never pays for the whole
+        #: uid -> (node, LazyFragment, state index) for fragment states
+        #: not yet materialized; _edges promotes entries into _warm_rows
+        #: as exploration reaches them, so warm work stays proportional
+        #: to the explored prefix (an early sat never pays for the whole
         #: fragment)
         self._warm_sources = {}
         #: per-root-uid canonical key memo (None = uncacheable)
@@ -130,11 +131,11 @@ class RegexSolver:
         lazily-decoded-but-unmaterialized fragment states — so
         compaction keeps fragment state reachable and uid-canonical."""
         roots = []
-        for node, rows in self._warm_rows.items():
+        for node, rows in self._warm_rows.values():
             roots.append(node)
             for _guard, targets in rows:
                 roots.extend(targets)
-        roots.extend(self._warm_sources)
+        roots.extend(source[0] for source in self._warm_sources.values())
         return roots
 
     def _proof_roots(self):
@@ -172,15 +173,15 @@ class RegexSolver:
         fragment = self.store.lookup(repr(self.algebra), key)
         if fragment is not None:
             self._store_hits_n += 1
-            if (regex not in self._warm_rows
-                    and regex not in self._warm_sources):
+            uid = regex.uid
+            if uid not in self._warm_rows and uid not in self._warm_sources:
                 from repro.solver.store import LazyFragment
 
                 lazy = LazyFragment(self.builder, fragment)
                 # the fragment's root must re-intern to this very node;
                 # anything else means a stale snapshot — solve cold
                 if lazy.node(0) is regex:
-                    self._warm_sources[regex] = (lazy, 0)
+                    self._warm_sources[uid] = (regex, lazy, 0)
             return
         self._store_misses_n += 1
         self._capture = key
@@ -201,7 +202,9 @@ class RegexSolver:
         if fragment is not None and self.store.insert(fragment):
             # keep the captured rows warm in-process too: the next
             # compaction must already see them as pinned roots
-            self._warm_rows.update(rows)
+            self._warm_rows.update(
+                (node.uid, (node, full)) for node, full in rows.items()
+            )
 
     # -- public queries -------------------------------------------------------
 
@@ -211,8 +214,11 @@ class RegexSolver:
 
         A query boundary: afterwards, when a compaction policy is armed,
         the engine state compacts everything unreachable from ``regex``
-        (and any pins).
+        (and any pins).  ``regex`` must come from this solver's builder:
+        uids are per builder, and every table keys by them.
         """
+        if regex.owner is not self.builder:
+            raise _foreign(regex)
         events = self.obs.events
         if not events.enabled:
             try:
@@ -413,7 +419,9 @@ class RegexSolver:
         # the bot rule: a regex already proved dead is unsat immediately
         if graph.is_dead(root):
             return None, None
-        parent = {root: None}
+        pick = self.algebra.pick
+        # uid -> (source, char, guard), None at the root
+        parent = {root.uid: None}
         queue = deque([root])
         while queue:
             budget.tick()
@@ -422,15 +430,15 @@ class RegexSolver:
             if graph.is_dead(vertex):
                 continue
             edges = self._edges(vertex, rows)
-            all_targets = set()
-            for _, successor_set in edges:
-                all_targets.update(successor_set)
-            graph.update(vertex, all_targets)
+            graph.update(
+                vertex, [target for _, targets in edges for target in targets]
+            )
             for guard, successor_set in edges:
-                char = self.algebra.pick(guard)
+                char = pick(guard)
                 for target in successor_set:
-                    if target not in parent:
-                        parent[target] = (vertex, char, guard)
+                    uid = target.uid
+                    if uid not in parent:
+                        parent[uid] = (vertex, char, guard)
                         if target.nullable:
                             return self._reconstruct(parent, target)
                         queue.append(target)
@@ -458,7 +466,8 @@ class RegexSolver:
         witness — is identical between the capturing cold run and any
         warm replay of the fragment.
         """
-        full = self._warm_rows.get(vertex) if self._warm_rows else None
+        warm = self._warm_rows.get(vertex.uid) if self._warm_rows else None
+        full = warm[1] if warm is not None else None
         if full is None and self._warm_sources:
             full = self._materialize(vertex)
         if full is None:
@@ -476,20 +485,24 @@ class RegexSolver:
         *them* as lazy sources, so the fragment unrolls exactly as far
         as exploration walks it.  Any decode failure degrades the
         state to a cold derivative build."""
-        source = self._warm_sources.pop(vertex, None)
+        warm_rows = self._warm_rows
+        warm_sources = self._warm_sources
+        source = warm_sources.pop(vertex.uid, None)
         if source is None:
             return None
-        lazy, idx = source
+        _node, lazy, idx = source
         rows = lazy.rows_for(idx)
         if rows is None:
             return None
-        self._warm_rows[vertex] = rows
+        warm_rows[vertex.uid] = (vertex, rows)
         for _guard, targets in lazy.row_targets(idx):
             for target_idx in targets:
                 node = lazy.node(target_idx)
-                if (node is not None and node not in self._warm_rows
-                        and node not in self._warm_sources):
-                    self._warm_sources[node] = (lazy, target_idx)
+                if node is None:
+                    continue
+                uid = node.uid
+                if uid not in warm_rows and uid not in warm_sources:
+                    warm_sources[uid] = (node, lazy, target_idx)
         return rows
 
     def _reconstruct(self, parent, target):
@@ -497,8 +510,8 @@ class RegexSolver:
         steps from the root, read off the parent chain."""
         steps = []
         node = target
-        while parent[node] is not None:
-            source, char, guard = parent[node]
+        while parent[node.uid] is not None:
+            source, char, guard = parent[node.uid]
             steps.append((source, guard, char, node))
             node = source
         steps.reverse()

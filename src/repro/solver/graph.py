@@ -17,8 +17,11 @@ paper prescribes — deadness proved while solving one constraint
 short-circuits any later constraint that reaches the same regex (the
 ``bot`` rule).
 
-The graph treats vertices as opaque hashable objects except for the
-finality predicate supplied by the caller (for regexes: nullability).
+Every vertex carries an integer ``uid`` that is unique within the graph
+(a regex's builder uid), and the graph keys all its tables by it: it
+never hashes a vertex.  Beyond the uid, it reads a vertex only through
+the finality predicate supplied by the caller (for regexes:
+nullability).
 """
 
 from repro.obs import NULL_OBS
@@ -29,8 +32,12 @@ class RegexGraph:
 
     def __init__(self, is_final, obs=None):
         self._is_final = is_final
+        #: uid -> vertex, for every vertex in the graph
+        self._vertex = {}
+        #: uid -> successor uids / predecessor uids
         self._succ = {}
         self._pred = {}
+        #: the derived sets, as uids
         self._final = set()
         self._closed = set()
         self._alive = set()
@@ -54,72 +61,83 @@ class RegexGraph:
 
     def add_vertex(self, vertex):
         """Register a vertex (idempotent); classifies finality."""
-        if vertex in self._succ:
-            return
-        self._succ[vertex] = set()
-        self._pred[vertex] = set()
+        uid = vertex.uid
+        if uid not in self._vertex:
+            self._add(uid, vertex)
+
+    def _add(self, uid, vertex):
+        self._vertex[uid] = vertex
+        self._succ[uid] = set()
+        self._pred[uid] = set()
         if self._is_final(vertex):
-            self._final.add(vertex)
-            self._mark_alive(vertex)
+            self._final.add(uid)
+            self._mark_alive(uid)
 
     def __contains__(self, vertex):
-        return vertex in self._succ
+        return vertex.uid in self._vertex
 
     def __len__(self):
-        return len(self._succ)
+        return len(self._vertex)
 
     @property
     def vertices(self):
-        return self._succ.keys()
+        return self._vertex.values()
 
     def successors(self, vertex):
-        return self._succ.get(vertex, set())
+        vertices = self._vertex
+        return [vertices[w] for w in self._succ.get(vertex.uid, ())]
 
     def update(self, vertex, targets):
         """The ``upd`` rule (Figure 3b): add all derivative edges of
-        ``vertex`` and mark it closed.  No effect if already closed."""
-        self.add_vertex(vertex)
-        if vertex in self._closed:
+        ``vertex`` and mark it closed.  No effect if already closed.
+        ``targets`` may repeat a vertex: edges are kept once per uid."""
+        uid = vertex.uid
+        if uid not in self._vertex:
+            self._add(uid, vertex)
+        elif uid in self._closed:
             return
         if self._span is not None:
-            with self._span("graph.update", targets=len(targets)):
-                self._update(vertex, targets)
+            with self._span("graph.update") as span:
+                self._update(uid, targets)
+                # an open vertex has no edges yet, so its successor set
+                # now holds exactly the distinct targets
+                span.args["targets"] = len(self._succ[uid])
         else:
-            self._update(vertex, targets)
+            self._update(uid, targets)
 
-    def _update(self, vertex, targets):
+    def _update(self, uid, targets):
+        vertices = self._vertex
+        succ = self._succ[uid]
+        pred = self._pred
+        alive = self._alive
+        reaches_alive = False
         for target in targets:
-            self.add_vertex(target)
-            if target not in self._succ[vertex]:
-                self._succ[vertex].add(target)
-                self._pred[target].add(vertex)
+            t = target.uid
+            if t not in vertices:
+                self._add(t, target)
+            if t not in succ:
+                succ.add(t)
+                pred[t].add(uid)
                 self.edges_added += 1
-            if target in self._alive:
-                self._mark_alive(vertex)
-        self._closed.add(vertex)
+                if t in alive:
+                    reaches_alive = True
+        self._closed.add(uid)
+        if reaches_alive:
+            self._mark_alive(uid)
 
     # -- alive ------------------------------------------------------------------
 
-    def _mark_alive(self, vertex):
+    def _mark_alive(self, uid):
         """Propagate aliveness backwards through predecessors."""
-        stack = [vertex]
+        alive = self._alive
+        pred = self._pred
+        stack = [uid]
         while stack:
             node = stack.pop()
-            if node in self._alive:
+            if node in alive:
                 continue
-            self._alive.add(node)
-            stack.extend(
-                p for p in self._pred.get(node, ()) if p not in self._alive
-            )
-
-    def is_final(self, vertex):
-        return vertex in self._final
-
-    def is_closed(self, vertex):
-        return vertex in self._closed
-
-    def is_alive(self, vertex):
-        return vertex in self._alive
+            alive.add(node)
+            stack.extend(p for p in pred.get(node, ()) if p not in alive)
 
     # -- dead --------------------------------------------------------------------
 
@@ -127,37 +145,39 @@ class RegexGraph:
         """True iff every vertex reachable from ``vertex`` is closed and
         not alive.  Positive answers are cached (deadness is permanent).
         """
-        if vertex in self._dead:
+        uid = vertex.uid
+        dead = self._dead
+        if uid in dead:
             return True
-        if vertex in self._alive or vertex not in self._succ:
+        alive = self._alive
+        if uid in alive or uid not in self._succ:
             return False
+        closed = self._closed
+        succ = self._succ
         visited = set()
-        stack = [vertex]
+        stack = [uid]
         while stack:
             node = stack.pop()
-            if node in visited or node in self._dead:
+            if node in visited or node in dead:
                 continue
-            if node in self._alive or node not in self._closed:
+            if node in alive or node not in closed:
                 return False
             visited.add(node)
-            stack.extend(self._succ[node])
+            stack.extend(succ[node])
         # the entire reachable set is closed and lifeless: all dead
-        self._dead.update(visited)
+        dead.update(visited)
         return True
 
     def classify(self, vertex):
         """Membership flags of one vertex across the derived sets (the
         provenance layer's narratives print these)."""
+        uid = vertex.uid
         return {
-            "final": vertex in self._final,
-            "closed": vertex in self._closed,
-            "alive": vertex in self._alive,
-            "dead": vertex in self._dead,
+            "final": uid in self._final,
+            "closed": uid in self._closed,
+            "alive": uid in self._alive,
+            "dead": uid in self._dead,
         }
-
-    @property
-    def dead_count(self):
-        return len(self._dead)
 
     @property
     def edge_count(self):
@@ -177,15 +197,21 @@ class RegexGraph:
         edges.  ``edges_added`` stays monotone.  Returns the number of
         dropped vertices.
         """
-        kept = {v for v in self._succ if keep(v)}
-        dropped = len(self._succ) - len(kept)
+        vertices = {
+            uid: v for uid, v in self._vertex.items() if keep(v)
+        }
+        dropped = len(self._vertex) - len(vertices)
         if not dropped:
             return 0
-        succ = {v: {w for w in self._succ[v] if w in kept} for v in kept}
-        pred = {v: set() for v in kept}
+        succ = {
+            v: {w for w in self._succ[v] if w in vertices} for v in vertices
+        }
+        pred = {v: set() for v in vertices}
         for v, targets in succ.items():
             for w in targets:
                 pred[w].add(v)
+        kept = set(vertices)
+        self._vertex = vertices
         self._succ = succ
         self._pred = pred
         self._final &= kept
@@ -197,7 +223,7 @@ class RegexGraph:
     def stats(self):
         """Summary counters for reporting."""
         return {
-            "vertices": len(self._succ),
+            "vertices": len(self._vertex),
             "edges": self.edges_added,
             "final": len(self._final),
             "closed": len(self._closed),

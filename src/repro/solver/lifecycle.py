@@ -156,9 +156,11 @@ class EngineState:
             sizes["deriv_trees"] = len(engine._trees) + len(engine._leaves)
             sizes["deriv_memo"] = len(engine._deriv_memo)
             sizes["meld_memo"] = len(engine._meld_memo)
+            sizes["restrict_memo"] = len(engine._restrict_memo)
             approx += (
                 sizes["deriv_trees"] * _BYTES_PER_TREE
-                + (sizes["deriv_memo"] + sizes["meld_memo"]) * _BYTES_PER_MEMO
+                + (sizes["deriv_memo"] + sizes["meld_memo"]
+                   + sizes["restrict_memo"]) * _BYTES_PER_MEMO
             )
         graph = self.graph
         if graph is not None:

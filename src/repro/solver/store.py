@@ -113,19 +113,20 @@ def _encode_states(states, guards):
     slots, ``slots[j]`` is the slot of state ``j`` — or None when a
     node cannot be encoded.  ``guards`` maps each predicate met so far
     to its guard-table index, in first-use order; a predicate op adds
-    its predicate there.  Replaying the builder calls lands on the
+    its predicate there.  It keys by the predicate itself, so equal
+    guards share one entry.  Replaying the builder calls lands on the
     identical interned nodes whenever the states are in the smart
     constructors' normal form, which :func:`build_fragment` checks.
     """
     ops = []
-    slots = {}
+    slots = {}  # node uid -> slot
     stack = list(reversed(states))
     while stack:
         node = stack[-1]
-        if node in slots:
+        if node.uid in slots:
             stack.pop()
             continue
-        pending = [c for c in (node.children or ()) if c not in slots]
+        pending = [c for c in (node.children or ()) if c.uid not in slots]
         if pending:
             stack.extend(pending)
             continue
@@ -138,20 +139,20 @@ def _encode_states(states, guards):
         elif kind == EMPTY:
             op = ["E"]
         elif kind == COMPL:
-            op = ["n", slots[node.children[0]]]
+            op = ["n", slots[node.children[0].uid]]
         elif kind == LOOP:
-            op = ["l", slots[node.children[0]], node.lo, node.hi]
+            op = ["l", slots[node.children[0].uid], node.lo, node.hi]
         elif kind == CONCAT:
-            op = ["c", [slots[c] for c in node.children]]
+            op = ["c", [slots[c.uid] for c in node.children]]
         elif kind == UNION:
-            op = ["u", [slots[c] for c in node.children]]
+            op = ["u", [slots[c.uid] for c in node.children]]
         elif kind == INTER:
-            op = ["i", [slots[c] for c in node.children]]
+            op = ["i", [slots[c.uid] for c in node.children]]
         else:
             return None
-        slots[node] = len(ops)
+        slots[node.uid] = len(ops)
         ops.append(op)
-    return ops, [slots[s] for s in states]
+    return ops, [slots[s.uid] for s in states]
 
 
 def build_fragment(builder, root, key, rows_by_node,
@@ -170,7 +171,7 @@ def build_fragment(builder, root, key, rows_by_node,
     — a fragment is either exact or absent.
     """
     algebra = builder.algebra
-    index = {root: 0}
+    index = {root.uid: 0}  # state uid -> state index
     states = [root]
     cursor = 0
     while cursor < len(states):
@@ -180,20 +181,20 @@ def build_fragment(builder, root, key, rows_by_node,
             continue
         for _guard, targets in rows:
             for target in targets:
-                if target not in index:
+                if target.uid not in index:
                     if len(states) >= max_states:
                         return None
-                    index[target] = len(states)
+                    index[target.uid] = len(states)
                     states.append(target)
     guards = {}
     serialized = {}
     for node, rows in rows_by_node.items():
-        idx = index.get(node)
+        idx = index.get(node.uid)
         if idx is None:
             continue
         serialized[str(idx)] = [
             [guards.setdefault(guard, len(guards)),
-             [index[t] for t in targets]]
+             [index[t.uid] for t in targets]]
             for guard, targets in rows
         ]
     encoded = _encode_states(states, guards)

@@ -1,14 +1,18 @@
 """The fused clean-conditional-tree engine vs the literal pipeline."""
 
+import sys
+
 from hypothesis import given, settings, strategies as st
 
+from repro.alphabet.intervals import CharSet
 from repro.derivatives.condtree import DerivativeEngine
 from repro.reference.dnf import delta_dnf
 from repro.reference.transition import apply
-from repro.regex import parse
+from repro.regex import RegexBuilder, parse
+from repro.smtlib.parser import parse_script
 from repro.regex.semantics import Matcher, enumerate_strings
 from tests.conftest import ALPHABET
-from tests.strategies import extended_regexes, short_strings
+from tests.strategies import extended_regexes, predicates, short_strings
 
 
 def lang(matcher, regex, max_len=3):
@@ -200,3 +204,93 @@ def test_sat_check_counter_moves(bitset_builder):
     engine = DerivativeEngine(b)
     engine.derivative(parse(b, "(a.*)&(b.*|0.*)"))
     assert engine.sat_checks > 0
+
+
+# -- integer keys -------------------------------------------------------------
+
+#: A RegExLib-style dotted quad (every digit but 9), as SMT-LIB text.
+DOTTED_QUAD = """(declare-const x String)
+(assert (str.in_re x (re.inter
+  (re.++ ((_ re.loop 3 3) (re.++ ((_ re.loop 1 3) (re.range "0" "9"))
+                                 (str.to_re ".")))
+         ((_ re.loop 1 3) (re.range "0" "9")))
+  (re.comp (re.++ re.all (str.to_re "9") re.all)))))"""
+
+
+def _closure_rows(engine, root):
+    """Every state reachable from ``root`` with its transitions."""
+    rows = {}
+    stack = [root]
+    while stack:
+        state = stack.pop()
+        if state.uid in rows:
+            continue
+        rows[state.uid] = (state, engine.transitions(state))
+        for _guard, targets in rows[state.uid][1]:
+            stack.extend(targets)
+    return rows
+
+
+def test_transitions_never_hash_predicates(ascii_builder, monkeypatch):
+    # the engine's tables and the algebra's caches key predicates by
+    # ``key``; only the builder's structural interning may hash one
+    b = ascii_builder
+    roots = [parse(b, "(.*a.{%d})&(.*b.{%d})" % (k, k)) for k in range(1, 6)]
+    roots.append(parse_script(b, DOTTED_QUAD).formula.regex)
+    expected = {}
+    for root in roots:
+        expected.update(_closure_rows(DerivativeEngine(b), root))
+    intern = RegexBuilder._intern.__code__
+
+    def hash_in_interning_only(charset):
+        assert sys._getframe(1).f_code is intern, "a CharSet was hashed"
+        return charset._hash
+
+    b.algebra.clear_caches()
+    engine = DerivativeEngine(b)
+    monkeypatch.setattr(CharSet, "__hash__", hash_in_interning_only)
+    got = {uid: engine.transitions(state)
+           for uid, (state, _rows) in expected.items()}
+    monkeypatch.undo()
+    assert len(got) > 50
+    assert got == {uid: rows for uid, (_state, rows) in expected.items()}
+
+
+def _restrict_reference(engine, tree, path):
+    """``DerivativeEngine._restrict`` without its memo."""
+    if tree.is_leaf:
+        return tree
+    algebra = engine.algebra
+    then_path = algebra.conj(path, tree.pred)
+    else_path = algebra.conj(path, algebra.neg(tree.pred))
+    if not algebra.is_sat(then_path):
+        return _restrict_reference(engine, tree.other, path)
+    if not algebra.is_sat(else_path):
+        return _restrict_reference(engine, tree.then, path)
+    return engine.node(
+        tree.pred,
+        _restrict_reference(engine, tree.then, then_path),
+        _restrict_reference(engine, tree.other, else_path),
+    )
+
+
+def test_restrict_memo_returns_the_recursions_node(bitset_builder):
+    b = bitset_builder
+    engine = DerivativeEngine(b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(extended_regexes(b), st.lists(predicates(b.algebra), max_size=4))
+    def check(r, paths):
+        tree = engine.derivative(r)
+        paths = [b.algebra.top] + paths
+        for _ in range(2):  # the second round hits the memo
+            for path in paths:
+                assert engine._restrict(tree, path) \
+                    is _restrict_reference(engine, tree, path)
+        # compaction keeps only entries whose tree and result survive
+        engine.compact({r.uid: r})
+        for path in paths:
+            assert engine._restrict(tree, path) \
+                is _restrict_reference(engine, tree, path)
+
+    check()

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import BudgetExceeded
-from repro.regex import parse
+from repro.alphabet import IntervalAlgebra
+from repro.errors import AlgebraError, BudgetExceeded
+from repro.regex import RegexBuilder, parse
 from repro.regex.semantics import Matcher, enumerate_strings
 from repro.solver import Budget, RegexSolver
 from tests.conftest import ALPHABET
@@ -185,3 +186,22 @@ def test_stats_reported(bitset_solver, bitset_builder):
     result = bitset_solver.is_satisfiable(parse(bitset_builder, "ab(a|b)"))
     assert result.stats["vertices"] >= 1
     assert "sat_checks" in result.stats
+
+
+def test_foreign_regexes_are_refused():
+    # uids are per builder: b2's 'a|b' has the uid of b1's 'a&b', so a
+    # solver or engine that took it would answer from b1's memo entry
+    b1 = RegexBuilder(IntervalAlgebra(127))
+    b2 = RegexBuilder(IntervalAlgebra(127))
+    solver = RegexSolver(b1)
+    assert solver.is_satisfiable(parse(b1, "a&b")).is_unsat
+    foreign = parse(b2, "a|b")
+    assert foreign.uid == parse(b1, "a&b").uid
+    with pytest.raises(AlgebraError, match="different builder"):
+        solver.is_satisfiable(foreign)
+    with pytest.raises(AlgebraError, match="different builder"):
+        solver.engine.derivative(foreign)
+    with pytest.raises(AlgebraError, match="different builder"):
+        solver.engine.matches(foreign, "a")
+    assert RegexSolver(b2).is_satisfiable(foreign).is_sat
+    assert solver.is_satisfiable(parse(b1, "a|b")).is_sat

@@ -54,7 +54,8 @@ class TestAccounting:
         sizes = solver.state.cache_sizes()
         for key in (
             "regex_nodes", "deriv_trees", "deriv_memo", "meld_memo",
-            "graph_vertices", "graph_edges", "entries_total", "approx_bytes",
+            "restrict_memo", "graph_vertices", "graph_edges",
+            "entries_total", "approx_bytes",
         ):
             assert key in sizes
             assert sizes[key] >= 0
@@ -248,7 +249,7 @@ class TestAlgebraMemo:
         assert sizes["algebra_memo"] == builder.algebra.cache_entries() > 0
         assert sizes["entries_total"] == sum(sizes[key] for key in (
             "regex_nodes", "deriv_trees", "deriv_memo", "meld_memo",
-            "graph_vertices", "algebra_memo",
+            "restrict_memo", "graph_vertices", "algebra_memo",
         ))
 
     @pytest.mark.parametrize("drop", ["compact", "reset"])

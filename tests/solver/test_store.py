@@ -95,7 +95,7 @@ def test_fragment_too_many_states_is_not_built():
     builder, solver, _ = _solve_capturing(store, "(a|b)*abb")
     regex = parse(builder, "[ab]*abb")
     key = canonical_pattern(builder, regex)
-    rows = solver._warm_rows
+    rows = dict(solver._warm_rows.values())
     assert rows, "capture left no rows to rebuild from"
     assert build_fragment(builder, regex, key, rows, max_states=1) is None
     assert build_fragment(builder, regex, key, rows) is not None
@@ -108,7 +108,7 @@ def test_capture_stores_only_a_program_that_replays(monkeypatch):
     store = SolverStore()
     builder, solver, _ = _solve_capturing(store, "(a|b)*abb")
     regex = parse(builder, "[ab]*abb")
-    rows = solver._warm_rows
+    rows = dict(solver._warm_rows.values())
     encode = store_module._encode_states
 
     def swapped(states, guards):
@@ -310,7 +310,7 @@ def test_compaction_keeps_store_entries_warm():
     assert compactions > compactions_before, "churn never tripped compaction"
     # the invariant: every warm-row node survived compaction as the
     # canonical interned node for its pattern — no stale-uid clone
-    for node in solver._warm_rows:
+    for node, _rows in solver._warm_rows.values():
         text = to_pattern(node, builder.algebra)
         assert parse(builder, text) is node, (
             "stale-uid resurrection: %r re-interned to a different node "
@@ -343,8 +343,10 @@ def test_store_roots_pin_exactly_the_warm_rows():
     solver.is_satisfiable(parse(builder, "(a|b)*abb"))
     roots = solver._store_roots()
     assert roots, "capture left no warm rows to pin"
-    nodes = set(solver._warm_rows)
-    for node, rows in solver._warm_rows.items():
+    nodes = []
+    for uid, (node, rows) in solver._warm_rows.items():
+        assert uid == node.uid
+        nodes.append(node)
         for _guard, targets in rows:
-            nodes.update(targets)
+            nodes.extend(targets)
     assert set(r.uid for r in roots) == set(n.uid for n in nodes)
