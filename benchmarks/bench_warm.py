@@ -47,7 +47,8 @@ def test_warm_median_at_least_2x_faster(warm_run):
         "cold_median_s": warm_run["cold_median_s"],
         "warm_median_s": warm_run["warm_median_s"],
         "speedup": warm_run["speedup"],
-        "cells": warm_run["cells"],
+        "cold": warm_run["cold"],
+        "warm": warm_run["warm"],
     })
     assert warm_run["parity"], "cold/warm verdicts diverged"
     assert warm_run["speedup"] >= MIN_SPEEDUP, (
@@ -58,14 +59,12 @@ def test_warm_median_at_least_2x_faster(warm_run):
 
 
 def test_warm_pass_ran_fully_warm(warm_run):
-    warm_cell = warm_run["cells"]["sbd/store_warm"]
-    assert warm_cell["counters"]["store_hits"] == warm_run["workload"]
-    assert warm_cell["counters"]["store_misses"] == 0
+    warm = warm_run["warm"]
+    assert warm["store_hits"] == warm_run["workload"]
+    assert warm["store_misses"] == 0
     # replayed rows, not rebuilt ones: no derivative work at all
-    assert warm_cell["counters"]["algebra_ops"] == 0
-    cold_cell = warm_run["cells"]["sbd/store_cold"]
-    assert cold_cell["counters"]["algebra_ops"] > 0
-    assert cold_cell["total"] == warm_cell["total"] == warm_run["workload"]
+    assert warm["algebra_ops"] == 0
+    assert warm_run["cold"]["algebra_ops"] > 0
 
 
 def test_pool_with_store_file_matches_serial(tmp_path):

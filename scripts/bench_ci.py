@@ -2,12 +2,12 @@
 """Performance-trend CI gate: snapshot the benchmark matrix, compare
 against the previous ``BENCH_<seq>.json``, and fail on regression.
 
-Default mode runs the evaluation matrix (``--quick`` selects the
-CI-sized tier: per-suite subsampling, smaller budget), writes the next
-``BENCH_<seq>.json`` at the repo root (or ``--root``), and compares it
-against the newest older snapshot.  Exit status: 0 when there is no
-previous snapshot (baseline) or no regression, 1 on regression, 2 on
-usage errors.
+Default mode runs the engine x suite evaluation matrix serially
+(``--quick`` selects the CI-sized tier: per-suite subsampling, smaller
+budget), writes the next ``BENCH_<seq>.json`` at the repo root (or
+``--root``), and compares it against the newest older snapshot.  Exit
+status: 0 when there is no previous snapshot (baseline) or no
+regression, 1 on regression, 2 on usage errors.
 
 ``--compare-only PREV CUR`` skips the run and just gates two existing
 snapshot files — the hook the tests use to inject a slowdown fixture.
@@ -52,19 +52,6 @@ def build_parser():
                         help="per-problem fuel budget")
     parser.add_argument("--seconds", type=float, default=None,
                         help="per-problem wall-clock budget")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the evaluation matrix "
-                             "(default 1 = serial; timing gates only fire "
-                             "against snapshots with the same job count)")
-    parser.add_argument("--no-profile", action="store_true",
-                        help="skip the traced attribution pass")
-    parser.add_argument("--no-store", action="store_true",
-                        help="skip the zipfian cold-vs-warm store suite "
-                             "(sbd/store_cold and sbd/store_warm cells)")
-    parser.add_argument("--no-serving", action="store_true",
-                        help="skip the concurrent-clients daemon suite "
-                             "(sbd/serve_latency and sbd/serve_throughput "
-                             "cells)")
     parser.add_argument("--time-rel", type=float,
                         default=compare_mod.DEFAULT_TIME_REL,
                         help="relative timing-regression gate (default "
@@ -110,46 +97,16 @@ def main(argv=None):
     def progress(engine, done, total):
         print("  %s: %d/%d" % (engine, done, total), flush=True)
 
-    if args.jobs < 1:
-        print("bench_ci: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
     snapshot = snapshot_mod.collect(
         root, quick=args.quick, stride=args.stride, fuel=args.fuel,
-        seconds=args.seconds, with_profile=not args.no_profile,
-        progress=progress, jobs=args.jobs, with_store=not args.no_store,
-        with_serving=not args.no_serving,
+        seconds=args.seconds, progress=progress,
     )
     path = snapshot_mod.write_snapshot(snapshot, root)
     print("wrote %s (%d cells, %d problems x %d engines)" % (
         os.path.basename(path), len(snapshot["cells"]),
         snapshot["config"]["problems"], len(snapshot["config"]["engines"]),
     ))
-    timing = snapshot.get("timing")
-    if timing:
-        print("matrix: wall %.2fs, aggregate cpu %.2fs, jobs=%d" % (
-            timing["wall_s"], timing["cpu_s"], args.jobs,
-        ))
-    store_cfg = snapshot["config"].get("store")
-    if store_cfg:
-        print("store: zipfian warm replay %.2fx faster than cold "
-              "(%d queries, %d distinct)" % (
-                  store_cfg["speedup"], store_cfg["workload"],
-                  store_cfg["distinct"],
-              ))
-    serving_cfg = snapshot["config"].get("serving")
-    if serving_cfg:
-        print("serving: %d clients, %s qps, warm hit ratio %s" % (
-            serving_cfg["clients"],
-            serving_cfg["throughput_qps"],
-            serving_cfg["hit_ratio"],
-        ))
-    if snapshot.get("profile"):
-        prof = snapshot["profile"]
-        top = prof["hotspots"][0]["name"] if prof["hotspots"] else "-"
-        print("profile: %.3fs traced, %.1f%% attributed, top span %s" % (
-            prof["total_s"], prof["attributed_pct"], top,
-        ))
+    print("matrix: wall %.2fs" % snapshot["timing"]["wall_s"])
 
     prev_path = snapshot_mod.previous_snapshot(root, snapshot["seq"])
     if prev_path is None:

@@ -9,9 +9,10 @@ only cover piecewise:
   budget — every job still resolves, and the over-budget client's
   tail lands *after* the compliant clients' jobs (degraded banding);
 * verdict and witness parity against a serial ``solve_batch`` oracle
-  over the same workload, with the serving recorded as a flight whose
-  pool lane holds the daemon's own events and which ``repro status``
-  renders;
+  over the same workload, served by two workers over a warm store
+  that captures what they learn (repeats across connections hit it),
+  with the serving recorded as a flight whose pool lane holds the
+  daemon's own events and which ``repro status`` renders;
 * a worker-crash injection mid-traffic — the crash is isolated to its
   own job (structured ``error``), the fleet replaces the worker, and
   jobs after the crash still resolve correctly;
@@ -74,9 +75,9 @@ def serial_oracle():
     }
 
 
-def smoke_concurrent_parity(sock_path, oracle, flight_dir):
+def smoke_concurrent_parity(sock_path, oracle, flight_dir, store_path):
     print("daemon: 3 concurrent clients, one over budget, parity check, "
-          "recording to %s" % flight_dir)
+          "store-backed, recording to %s" % flight_dir)
     # every client gets 6 tokens and no refill: the polite clients (6
     # jobs each) stay exactly in budget, the hog's second half is
     # admitted degraded (the queue stays far below the soft watermark,
@@ -101,7 +102,8 @@ def smoke_concurrent_parity(sock_path, oracle, flight_dir):
             outcomes.update(got)
 
     with SolverDaemon(path=sock_path, workers=2, admission=admission,
-                      flight_dir=flight_dir, **BUDGET) as daemon:
+                      flight_dir=flight_dir, store_path=store_path,
+                      store_save=store_path, **BUDGET) as daemon:
         original_send = daemon._send_result
 
         def tracking_send(ticket, payload, **kwargs):
@@ -135,6 +137,9 @@ def smoke_concurrent_parity(sock_path, oracle, flight_dir):
             wrong.append((job_id, outcome.get("witness"), witness))
     check(not wrong, "verdicts and witnesses match the serial oracle "
           "(%d mismatches)" % len(wrong))
+    check(stats["store"]["hits"] > 0,
+          "repeat patterns hit the warm store (%d hits, %d misses)"
+          % (stats["store"]["hits"], stats["store"]["misses"]))
     check(stats["admission"]["degraded"] >= 6,
           "hog traffic was admitted degraded (%d jobs)"
           % stats["admission"]["degraded"])
@@ -231,7 +236,8 @@ def main():
     check(len(oracle) == len(PATTERNS), "serial oracle covers workload")
     with tempfile.TemporaryDirectory(prefix="smoke-daemon-") as tmp:
         smoke_concurrent_parity(os.path.join(tmp, "a.sock"), oracle,
-                                os.path.join(tmp, "flight"))
+                                os.path.join(tmp, "flight"),
+                                os.path.join(tmp, "store.json"))
         smoke_crash_isolation(os.path.join(tmp, "b.sock"), oracle)
         smoke_structured_rejection(os.path.join(tmp, "c.sock"))
     print("smoke_daemon: all checks passed")

@@ -194,10 +194,6 @@ class BooleanAlgebra(ABC):
         """Set difference ``[[phi]] \\ [[psi]]``."""
         return self.conj(phi, self.neg(psi))
 
-    def xor(self, phi, psi):
-        """Symmetric difference."""
-        return self.disj(self.diff(phi, psi), self.diff(psi, phi))
-
     def disj_all(self, phis):
         """Disjunction of an iterable of predicates (``bot`` if empty)."""
         result = self.bot

@@ -1,4 +1,4 @@
-"""Standard character classes (``\\d``, ``\\w``, ``\\s``, POSIX names).
+"""Standard character classes (``\\d``, ``\\w``, ``\\s``).
 
 The paper stresses that practical regexes use character classes over a
 large symbolic alphabet (Unicode BMP).  We model the .NET/Unicode
@@ -7,8 +7,6 @@ includes the ASCII digits plus several BMP digit blocks, so digit
 predicates are *not* single intervals and exercise the symbolic
 machinery the way real Unicode categories do.
 """
-
-from repro.errors import AlgebraError
 
 # Inclusive codepoint ranges.  ASCII core first, then representative BMP
 # blocks (Arabic-Indic digits, Devanagari digits, fullwidth forms, Greek
@@ -50,24 +48,6 @@ SPACE_RANGES = (
     (0x3000, 0x3000),    # ideographic space
 )
 
-POSIX_CLASSES = {
-    "alpha": ((0x41, 0x5A), (0x61, 0x7A)) + _LETTER_BLOCKS,
-    "digit": DIGIT_RANGES,
-    "alnum": ((0x30, 0x39), (0x41, 0x5A), (0x61, 0x7A)) + _LETTER_BLOCKS,
-    "upper": ((0x41, 0x5A), (0xC0, 0xD6), (0xD8, 0xDE), (0x0391, 0x03A9)),
-    "lower": ((0x61, 0x7A), (0xDF, 0xF6), (0xF8, 0xFF), (0x03B1, 0x03C9)),
-    "space": SPACE_RANGES,
-    "word": WORD_RANGES,
-    "punct": ((0x21, 0x2F), (0x3A, 0x40), (0x5B, 0x60), (0x7B, 0x7E)),
-    "xdigit": ((0x30, 0x39), (0x41, 0x46), (0x61, 0x66)),
-    "ascii": ((0x00, 0x7F),),
-    "blank": ((0x09, 0x09), (0x20, 0x20)),
-    "cntrl": ((0x00, 0x1F), (0x7F, 0x7F)),
-    "print": ((0x20, 0x7E),),
-    "graph": ((0x21, 0x7E),),
-}
-
-
 def digit(algebra):
     """The predicate for ``\\d``."""
     return algebra.from_ranges(DIGIT_RANGES)
@@ -98,15 +78,7 @@ def not_space(algebra):
     return algebra.neg(space(algebra))
 
 
-def posix(algebra, name):
-    """The predicate for a POSIX class name like ``alpha`` or ``digit``."""
-    try:
-        ranges = POSIX_CLASSES[name]
-    except KeyError:
-        raise AlgebraError("unknown POSIX class %r" % name) from None
-    return algebra.from_ranges(ranges)
-
-
+#: The ``\\X`` class escapes the parser accepts, by letter.
 ESCAPE_CLASSES = {
     "d": digit,
     "D": not_digit,
@@ -134,12 +106,3 @@ def case_fold(algebra, pred):
     if not extra:
         return pred
     return algebra.disj(pred, algebra.from_ranges(extra))
-
-
-def escape_class(algebra, letter):
-    """Predicate for a ``\\X`` class escape (``X`` in ``dDwWsS``)."""
-    try:
-        build = ESCAPE_CLASSES[letter]
-    except KeyError:
-        raise AlgebraError("unknown class escape \\%s" % letter) from None
-    return build(algebra)

@@ -25,10 +25,8 @@ DEFAULT_SOLVED_DROP = 1
 #: medians stay put (mass moving into the budget cap).
 DEFAULT_TIMEOUT_RATE_RISE = 0.10
 
-#: ``p99_s`` only exists on the serving cells (older snapshots carry
-#: none at all) — the comparison loop skips a metric whenever either
-#: side lacks it, so the tail-latency gate is backward compatible.
-TIME_METRICS = ("median_s", "p90_s", "p99_s")
+#: The per-cell timing metrics the gate compares.
+TIME_METRICS = ("median_s", "p90_s")
 
 
 def _delta(cell, metric, before, after, **extra):
@@ -55,11 +53,12 @@ def compare(prev, cur, time_rel=DEFAULT_TIME_REL, time_abs=DEFAULT_TIME_ABS,
     """
     prev_cells = prev.get("cells", {})
     cur_cells = cur.get("cells", {})
-    # Timing is only comparable like-for-like: a snapshot collected with
-    # a different worker count (--jobs) has different scheduling and
-    # contention, so its wall-clock percentiles say nothing about the
-    # solver.  Correctness metrics (solved, timeout_rate) are still
-    # gated — fuel budgets make those job-count independent.
+    # Timing is only comparable like-for-like.  BENCH_0001/0002 were
+    # collected on a worker pool (config.jobs = 2), whose scheduling and
+    # contention say nothing about the solver; snapshots since run the
+    # matrix serially and write no jobs entry, read here as 1.
+    # Correctness metrics (solved, timeout_rate, wrong) are still gated
+    # — fuel budgets make those job-count independent.
     prev_jobs = prev.get("config", {}).get("jobs", 1) or 1
     cur_jobs = cur.get("config", {}).get("jobs", 1) or 1
     compare_times = prev_jobs == cur_jobs
@@ -162,7 +161,7 @@ def render_report(report, prev=None, cur=None):
         jobs = report.get("jobs", {})
         lines.append(
             "timing gates skipped: job counts differ (%s -> %s); only "
-            "solved/timeout_rate were compared"
+            "wrong/solved/timeout_rate were compared"
             % (jobs.get("before", "?"), jobs.get("after", "?"))
         )
     if not report["regressions"]:

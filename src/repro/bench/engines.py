@@ -49,9 +49,8 @@ def reference_engine():
 def engine_by_name(name, max_states=20000, max_minterms=2048):
     """Resolve one engine of the default line-up by name.
 
-    Batch workers receive engines as names (an :class:`Engine` holds a
-    closure and does not cross process boundaries) and rebuild them
-    locally through this registry.
+    For callers that hold an engine's name rather than the
+    :class:`Engine` itself (which wraps a closure).
     """
     for engine in default_engines(max_states, max_minterms):
         if engine.name == name:

@@ -104,57 +104,38 @@ def record_outcome(result, solver, expected, formula=None):
     return status, outcome, stats
 
 
-def solve_cell(engine, builder, formula, expected, fuel, seconds):
-    """One (engine, problem) cell, as :func:`run_problem` and the
-    worker's ``bench`` task both run it: a fresh solver, one budget,
-    the verdict classified by :func:`record_outcome`.  Returns
-    ``(status, seconds, outcome, stats)`` in :class:`Record` order;
-    timeouts, wrong answers and crashes are charged the full budget,
-    other cells their solve time clamped to it."""
+def run_problem(engine, builder, problem, fuel=200000, seconds=2.0):
+    """Run one problem under a fresh solver with a fixed budget, the
+    verdict classified by :func:`record_outcome`.  Timeouts, wrong
+    answers and crashes are charged the full budget, other runs their
+    solve time clamped to it."""
     solver = engine.fresh_solver(builder)
     budget = Budget(fuel=fuel, seconds=seconds)
     started = time.perf_counter()
     try:
-        result = solver.solve(formula, budget=budget)
+        result = solver.solve(problem.formula, budget=budget)
     except Exception as exc:  # a crash counts as a timeout, like the paper
-        return "error", seconds, "timeout", {"error": error_info(exc)}
+        return Record(problem, engine.name, "error", seconds, "timeout",
+                      {"error": error_info(exc)})
     elapsed = time.perf_counter() - started
     status, outcome, stats = record_outcome(
-        result, solver, expected, formula=formula
+        result, solver, problem.expected, formula=problem.formula
     )
     if seconds is not None and (
             outcome in ("timeout", "wrong") or elapsed > seconds):
         elapsed = seconds
-    return status, elapsed, outcome, stats
-
-
-def run_problem(engine, builder, problem, fuel=200000, seconds=2.0):
-    """Run one problem under a fresh solver with a fixed budget."""
-    return Record(problem, engine.name, *solve_cell(
-        engine, builder, problem.formula, problem.expected, fuel, seconds,
-    ))
+    return Record(problem, engine.name, status, elapsed, outcome, stats)
 
 
 def run_matrix(engines, problems, builder, fuel=200000, seconds=2.0,
-               progress=None, jobs=1):
+               progress=None):
     """Run every engine on every problem; returns a list of records.
 
     ``builder`` must be the builder the problems were generated with
     (regexes are interned per builder and cannot be mixed across
     builders).  Each engine still gets a fresh solver per problem, so
     no engine carries state between instances.
-
-    ``jobs > 1`` fans the (engine, problem) matrix across that many
-    worker processes via :mod:`repro.serve`; fuel budgets make the
-    verdicts identical to the serial run.  Parallel mode requires
-    engines resolvable by name through
-    :func:`repro.bench.engines.engine_by_name`.
     """
-    if jobs and jobs > 1:
-        return run_matrix_parallel(
-            engines, problems, builder, fuel=fuel, seconds=seconds,
-            progress=progress, jobs=jobs,
-        )
     records = []
     for engine in engines:
         for i, problem in enumerate(problems):
@@ -163,65 +144,6 @@ def run_matrix(engines, problems, builder, fuel=200000, seconds=2.0,
             )
             if progress is not None and (i + 1) % 50 == 0:
                 progress(engine.name, i + 1, len(problems))
-    return records
-
-
-def run_matrix_parallel(engines, problems, builder, fuel=200000, seconds=2.0,
-                        progress=None, jobs=2):
-    """The batched evaluation matrix: one ``bench`` job per (engine,
-    problem) cell, solved by :func:`solve_cell` on a
-    :class:`repro.serve.WorkerPool`; no cell is solved in this process.
-
-    Problems travel as SMT-LIB text and are re-parsed against each
-    worker's own builder.  The re theory has no zero-width assertions,
-    so a lookaround problem, which is one ``str.in_re``, travels as its
-    printed pattern instead.  Pool-level failures (a crashed or reaped
-    worker) surface as error Records with the full budget charged,
-    mirroring the serial path's crash-counts-as-timeout rule.
-    """
-    from repro.bench.engines import engine_by_name
-    from repro.errors import SmtLibError
-    from repro.regex import to_pattern
-    from repro.serve import Job, solve_batch
-    from repro.smtlib.writer import script_text
-
-    for engine in engines:
-        engine_by_name(engine.name)  # fail fast on unregistered engines
-
-    wires = []
-    for p in problems:
-        try:
-            wire = {"smt2": script_text(p.formula, builder.algebra,
-                                        status=p.expected)}
-        except SmtLibError:
-            wire = {"pattern": to_pattern(p.formula.regex, builder.algebra)}
-        wires.append(wire)
-    cells = [(e.name, p, w) for e in engines for p, w in zip(problems, wires)]
-    batch = [Job("%s/%s" % (name, p.name), "bench", dict(w, engine=name),
-                 expected=p.expected) for name, p, w in cells]
-
-    def pool_progress(done, _total):
-        if progress is not None and done % 50 == 0:
-            progress("pool", done, len(batch))
-
-    report = solve_batch(
-        batch, workers=jobs, fuel=fuel, seconds=seconds,
-        progress=pool_progress,
-    )
-    records = []
-    for result, (name, problem, _wire) in zip(report.results, cells):
-        if result.outcome is not None:
-            records.append(Record(
-                problem, name, result.status, result.elapsed,
-                result.outcome, result.stats,
-            ))
-        else:
-            # pool-synthesized verdict (crashed/reaped worker): charge
-            # the full budget, keep the structured error in the stats
-            records.append(Record(
-                problem, name, "error", seconds, "timeout",
-                {"error": result.error} if result.error else {},
-            ))
     return records
 
 

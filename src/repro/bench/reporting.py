@@ -4,8 +4,8 @@
 median per engine per group); ``figure_4b_series`` the cumulative
 time-to-solve series; ``figure_4c_table`` the benchmark inventory.
 All output is plain text so the benchmark logs double as the artifact.
-``records_json``/``write_json`` additionally export every record —
-including its per-record solver counters — as machine-readable JSON.
+``records_json`` additionally exports every record — including its
+per-record solver counters — as machine-readable JSON.
 """
 
 import json
@@ -134,18 +134,11 @@ def records_json(records, budget_seconds=None):
     return out
 
 
-def write_json(records, path, budget_seconds=None):
-    """Write :func:`records_json` to ``path``; returns the path."""
-    return write_json_payload(records_json(records, budget_seconds), path)
-
-
 def write_json_payload(payload, path):
     """Write any JSON-serializable benchmark payload to ``path``.
 
-    The machine-readable side channel for the drivers whose artifact is
-    a table rather than harness records (state counts, blowup sweeps,
-    matching throughput): every suite feeds the BENCH snapshot pipeline
-    in the same on-disk dialect (sorted keys, indent 1).
+    Every ``benchmarks/`` driver writes its JSON through here, in the
+    BENCH snapshots' on-disk dialect (sorted keys, indent 1).
     """
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)

@@ -18,10 +18,9 @@ where ``counters`` sums the per-record counters the harness captures
 on every :class:`~repro.bench.harness.Record`: the result's stats
 (``case_splits`` plus the summed per-query counts of the regex
 sub-queries, bare names) and the solver's registry snapshot (dotted
-names; the ``cache.*`` levels aggregate as their peak).  The snapshot
-additionally embeds a span-derived profile of the reference engine
-(:func:`repro.obs.profile.profile_summary`), so each entry records
-*where* the time went, not just how much was spent.
+names; the ``cache.*`` levels aggregate as their peak).  The matrix
+runs serially in this process, and ``timing.wall_s`` is its elapsed
+time.
 
 :mod:`repro.bench.compare` consumes consecutive snapshots;
 ``scripts/bench_ci.py`` is the command-line entry point and CI gate.
@@ -37,12 +36,10 @@ import time
 
 from repro.alphabet import IntervalAlgebra
 from repro.bench.engines import default_engines
-from repro.bench.harness import Engine, run_matrix, run_problem
+from repro.bench.harness import run_matrix
 from repro.bench.suites import all_suites, label_problems
-from repro.obs import Observability, percentile
-from repro.obs.profile import profile_summary
+from repro.obs import percentile
 from repro.regex import RegexBuilder
-from repro.solver.engine import RegexSolver
 
 SCHEMA_VERSION = 1
 
@@ -50,9 +47,6 @@ SCHEMA_VERSION = 1
 #: (fuel keeps timeouts deterministic); the quick tier is sized for CI.
 FULL_TIER = {"stride": 1, "fuel": 100000, "seconds": 1.0}
 QUICK_TIER = {"stride": 6, "fuel": 20000, "seconds": 0.5}
-
-#: At most this many problems go through the traced profile pass.
-PROFILE_PROBLEMS = 40
 
 _NAME = re.compile(r"^BENCH_(\d{4})\.json$")
 
@@ -128,8 +122,11 @@ def aggregate_cells(records, budget_seconds):
 # -- provenance ---------------------------------------------------------------
 
 
-def git_info(root):
-    """Current commit SHA and branch, or ``"unknown"`` outside git."""
+def git_info():
+    """The commit SHA and branch of the checkout this package runs
+    from (whatever directory the snapshot is written to), or
+    ``"unknown"`` outside git."""
+    here = os.path.dirname(os.path.abspath(__file__))
     info = {}
     for key, argv in (
         ("sha", ["git", "rev-parse", "HEAD"]),
@@ -137,7 +134,7 @@ def git_info(root):
     ):
         try:
             out = subprocess.run(
-                argv, cwd=root, capture_output=True, text=True, timeout=10,
+                argv, cwd=here, capture_output=True, text=True, timeout=10,
             )
             info[key] = out.stdout.strip() if out.returncode == 0 else "unknown"
         except (OSError, subprocess.SubprocessError):
@@ -207,17 +204,16 @@ def write_snapshot(snapshot, root):
 
 
 def build_snapshot(records, budget_seconds, config, root, seq=None,
-                   profile=None, timing=None):
+                   timing=None):
     """Assemble the snapshot dict (no I/O beyond git provenance)."""
     snapshot = {
         "schema": SCHEMA_VERSION,
         "seq": seq if seq is not None else next_seq(root),
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "git": git_info(root),
+        "git": git_info(),
         "host": host_info(),
         "config": dict(config),
         "cells": aggregate_cells(records, budget_seconds),
-        "profile": profile,
     }
     if timing is not None:
         snapshot["timing"] = dict(timing)
@@ -241,48 +237,14 @@ def subsample(problems, stride):
     return out
 
 
-def profile_pass(problems, builder, fuel, seconds, max_problems=PROFILE_PROBLEMS):
-    """Run the reference engine over a bounded problem sample with
-    tracing on; returns the span records for attribution.
-
-    The per-problem solvers share one span recorder, so the records
-    accumulate into a single stream covering the whole pass.
-    """
-    obs = Observability.tracing()
-    engine = Engine("sbd", lambda b: RegexSolver(b, obs=obs))
-    step = max(1, len(problems) // max_problems) if max_problems else 1
-    for problem in problems[::step]:
-        run_problem(engine, builder, problem, fuel=fuel, seconds=seconds)
-    return obs.tracer.events
-
-
 def collect(root, quick=False, stride=None, fuel=None, seconds=None,
-            with_profile=True, seq=None, progress=None, jobs=1,
-            with_store=True, with_serving=True):
-    """Run the evaluation matrix and assemble (not write) a snapshot.
+            seq=None, progress=None):
+    """Run the evaluation matrix serially and assemble (not write) a
+    snapshot.
 
     ``quick`` selects the CI-sized tier (per-suite subsampling and a
     smaller budget); explicit ``stride``/``fuel``/``seconds`` override
-    either tier.  ``jobs > 1`` fans the matrix over that many worker
-    processes, every cell (lookaround ones included) in a worker (see
-    :func:`repro.bench.harness.run_matrix_parallel`); verdicts stay
-    identical because budgets are fuel-deterministic, but wall time is
-    no longer comparable across differing job counts — the snapshot
-    records both the batch wall time and the aggregate per-problem CPU
-    time under ``"timing"``, plus ``config["jobs"]`` so the regression
-    gate can insist on like-for-like comparisons.
-
-    ``with_store`` additionally runs the zipfian cold-vs-warm store
-    suite (:func:`repro.bench.warm.run_warm_suite`) at the tier's
-    budgets and folds its ``sbd/store_cold`` / ``sbd/store_warm``
-    cells into the snapshot, so the regression gate covers warm-replay
-    performance the same way it covers every other suite.
-
-    ``with_serving`` additionally runs the concurrent-clients daemon
-    suite (:func:`repro.bench.serving.run_serving_suite`) and folds
-    its ``sbd/serve_latency`` / ``sbd/serve_throughput`` cells in —
-    the p50/p90/p99 serving SLOs and throughput-under-load become
-    gated numbers, not dashboards.
+    either tier.
     """
     tier = QUICK_TIER if quick else FULL_TIER
     stride = tier["stride"] if stride is None else stride
@@ -296,50 +258,17 @@ def collect(root, quick=False, stride=None, fuel=None, seconds=None,
     matrix_started = time.perf_counter()
     records = run_matrix(
         engines, problems, builder, fuel=fuel, seconds=seconds,
-        progress=progress, jobs=jobs,
+        progress=progress,
     )
-    timing = {
-        "wall_s": time.perf_counter() - matrix_started,
-        "cpu_s": sum(r.seconds for r in records),
-    }
-    profile = None
-    if with_profile:
-        events = profile_pass(problems, builder, fuel, seconds)
-        profile = profile_summary(events)
+    timing = {"wall_s": time.perf_counter() - matrix_started}
     config = {
         "quick": bool(quick),
         "stride": stride,
         "fuel": fuel,
         "seconds": seconds,
-        "jobs": jobs,
         "engines": [e.name for e in engines],
         "problems": len(problems),
     }
-    snapshot = build_snapshot(
-        records, seconds, config, root, seq=seq, profile=profile,
-        timing=timing,
+    return build_snapshot(
+        records, seconds, config, root, seq=seq, timing=timing,
     )
-    if with_store:
-        from repro.bench.warm import run_warm_suite
-
-        warm = run_warm_suite(fuel=fuel, seconds=seconds)
-        snapshot["cells"].update(warm["cells"])
-        snapshot["config"]["store"] = {
-            "workload": warm["workload"],
-            "distinct": warm["distinct"],
-            "speedup": round(warm["speedup"], 3),
-        }
-    if with_serving:
-        from repro.bench.serving import run_serving_suite
-
-        serving = run_serving_suite(fuel=fuel, seconds=seconds)
-        snapshot["cells"].update(serving["cells"])
-        snapshot["config"]["serving"] = {
-            "clients": serving["clients"],
-            "workload": serving["workload"],
-            "throughput_qps": round(serving["throughput_qps"], 2)
-            if serving["throughput_qps"] else None,
-            "hit_ratio": round(serving["hit_ratio"], 3)
-            if serving["hit_ratio"] is not None else None,
-        }
-    return snapshot

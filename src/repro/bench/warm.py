@@ -5,16 +5,11 @@ query stream (zipfian frequencies), which is exactly the regime the
 :mod:`repro.solver.store` targets.  This module builds that workload
 and times every query twice on otherwise-identical fresh solver
 stacks — once with no store (a full cold rebuild of derivative rows)
-and once against a pre-warmed snapshot (pure fragment replay) — then
-aggregates both passes into snapshot-shaped cells (``sbd/store_cold``
-and ``sbd/store_warm``) so the existing
-:mod:`repro.bench.compare` gate covers the warm path with no special
-cases: a warm-replay slowdown trips the same median/p90 machinery as
-any other suite.
+and once against a pre-warmed snapshot (pure fragment replay) — and
+reports both passes' medians and summed per-query counts.
 
 Verdict parity is asserted *inside* the run: a cold/warm status or
-witness mismatch raises instead of producing a silently-wrong timing
-cell.
+witness mismatch raises instead of producing a silently-wrong speedup.
 """
 
 import random
@@ -52,6 +47,10 @@ DISTINCT_PATTERNS = [
 DEFAULT_LENGTH = 60
 DEFAULT_SEED = 0x5BD
 
+#: The per-query counts each pass sums (from ``result.stats``).
+COUNTS = ("explored", "sat_checks", "algebra_ops", "store_hits",
+          "store_misses")
+
 
 def zipf_workload(length=DEFAULT_LENGTH, seed=DEFAULT_SEED, patterns=None):
     """A seeded query stream: pattern rank ``i`` drawn with weight
@@ -86,39 +85,21 @@ def prewarm(patterns, fuel=100000, seconds=5.0):
     return capture.to_dict()
 
 
-def _cell(suite, times, solved, total, counters, budget_seconds):
-    times = sorted(times)
-    return {
-        "engine": "sbd",
-        "suite": suite,
-        "total": total,
-        "solved": solved,
-        "timeouts": total - solved,
-        "wrong": 0,
-        "timeout_rate": (total - solved) / total if total else 0.0,
-        "median_s": statistics.median(times) if times else budget_seconds,
-        "p90_s": times[min(int(len(times) * 0.9), len(times) - 1)]
-        if times else budget_seconds,
-        "mean_s": statistics.fmean(times) if times else budget_seconds,
-        "max_s": times[-1] if times else budget_seconds,
-        "counters": counters,
-    }
-
-
 def run_warm_suite(length=DEFAULT_LENGTH, seed=DEFAULT_SEED, fuel=100000,
                    seconds=5.0, patterns=None):
     """Run the zipfian workload cold and warm; returns the result dict.
 
-    ``cells`` holds the two snapshot-shaped aggregation cells;
-    ``speedup`` is cold median / warm median; ``parity`` is always
-    True on return (a mismatch raises ``AssertionError``)."""
+    ``cold`` and ``warm`` hold each pass's summed per-query counts
+    (:data:`COUNTS`); ``speedup`` is cold median / warm median;
+    ``parity`` is always True on return (a mismatch raises
+    ``AssertionError``)."""
     workload = zipf_workload(length=length, seed=seed, patterns=patterns)
     snapshot = prewarm(sorted(set(workload)), fuel=fuel, seconds=seconds)
     warmed = SolverStore().from_dict(snapshot)
 
     cold_times, warm_times = [], []
-    cold_counters, warm_counters = {}, {}
-    solved_cold = solved_warm = 0
+    cold_counts = dict.fromkeys(COUNTS, 0)
+    warm_counts = dict.fromkeys(COUNTS, 0)
     for pattern in workload:
         cold_elapsed, cold_result = _solve_once(pattern, None, fuel, seconds)
         warm_elapsed, warm_result = _solve_once(
@@ -134,37 +115,21 @@ def run_warm_suite(length=DEFAULT_LENGTH, seed=DEFAULT_SEED, fuel=100000,
         )
         cold_times.append(cold_elapsed)
         warm_times.append(warm_elapsed)
-        for counters, result in (
-            (cold_counters, cold_result), (warm_counters, warm_result),
+        for counts, result in (
+            (cold_counts, cold_result), (warm_counts, warm_result),
         ):
-            for key in ("explored", "sat_checks", "algebra_ops",
-                        "store_hits", "store_misses"):
-                counters[key] = counters.get(key, 0) + result.stats.get(key, 0)
-        if not cold_result.is_unknown:
-            solved_cold += 1
-        if not warm_result.is_unknown:
-            solved_warm += 1
+            for key in COUNTS:
+                counts[key] += result.stats.get(key, 0)
 
-    total = len(workload)
-    cold_median = statistics.median(sorted(cold_times))
-    warm_median = statistics.median(sorted(warm_times))
+    cold_median = statistics.median(cold_times)
+    warm_median = statistics.median(warm_times)
     return {
-        "workload": total,
+        "workload": len(workload),
         "distinct": len(set(workload)),
         "cold_median_s": cold_median,
         "warm_median_s": warm_median,
         "speedup": cold_median / warm_median if warm_median else float("inf"),
-        "store_hits": warm_counters.get("store_hits", 0),
-        "store_misses": warm_counters.get("store_misses", 0),
         "parity": True,
-        "cells": {
-            "sbd/store_cold": _cell(
-                "store_cold", cold_times, solved_cold, total,
-                cold_counters, seconds,
-            ),
-            "sbd/store_warm": _cell(
-                "store_warm", warm_times, solved_warm, total,
-                warm_counters, seconds,
-            ),
-        },
+        "cold": cold_counts,
+        "warm": warm_counts,
     }

@@ -25,8 +25,8 @@ steps and the query's table of expanded rows.
 
 Views over the record stream: :func:`chrome_trace` (``--trace``, the
 flight ``timeline.json``), :mod:`repro.obs.profile` (collapsed stacks
-and self-time hotspot tables for ``--profile`` and the BENCH
-snapshots) and :mod:`repro.obs.flight` (``repro status``).
+and self-time hotspot tables for ``--profile``) and
+:mod:`repro.obs.flight` (``repro status``).
 
 ``Observability.disabled()`` swaps every channel for a no-op backend,
 so instrumented hot paths cost one attribute lookup per event.
@@ -45,8 +45,8 @@ from repro.obs.metrics import (
     percentile,
 )
 from repro.obs.profile import (
-    collapsed_stacks, hotspots, profile_summary, read_collapsed,
-    render_hotspots, write_collapsed,
+    collapsed_stacks, hotspots, read_collapsed, render_hotspots,
+    write_collapsed,
 )
 
 
@@ -105,6 +105,6 @@ __all__ = [
     "chrome_trace", "read_chrome", "read_jsonl",
     "MetricsRegistry", "Counter", "NullMetrics", "NULL_METRICS",
     "NULL_COUNTER", "percentile",
-    "collapsed_stacks", "hotspots", "profile_summary", "read_collapsed",
-    "render_hotspots", "write_collapsed",
+    "collapsed_stacks", "hotspots", "read_collapsed", "render_hotspots",
+    "write_collapsed",
 ]

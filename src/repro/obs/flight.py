@@ -345,7 +345,7 @@ def capture_artifact(flight_dir, task, out, config, worker=None, pid=None,
         "pid": pid,
         "captured": time.time(),
     }
-    for key in ("witness", "model", "reason", "error", "stats", "outcome",
+    for key in ("witness", "model", "reason", "error", "stats",
                 "explanation"):
         if out.get(key) is not None:
             artifact[key] = out[key]
@@ -405,8 +405,8 @@ def replay_artifact(source):
     The replay goes through :func:`repro.serve.worker.execute_task` —
     the same executor that produced the recording — on a fresh
     :class:`~repro.serve.worker.WorkerState` with the recorded budget,
-    so "replays to the same verdict" means the full task semantics
-    (bench outcome rules included), not just a similar solve.
+    so "replays to the same verdict" means the full task semantics,
+    not just a similar solve.
     """
     from repro.serve.worker import execute_task
 

@@ -12,9 +12,7 @@ turn into *attribution* — where the traced wall time actually went:
   (``root;child;leaf <microseconds>``, one line per unique stack);
 * :func:`hotspots` aggregates per-span-name *self* time (duration minus
   time spent in child spans) into the top-K table the CLI prints for
-  ``--profile`` and the BENCH snapshots embed;
-* :func:`profile_summary` packages total wall, attribution percentage
-  and the hotspot list as a JSON-ready dict.
+  ``--profile``.
 
 Self times partition the traced wall time exactly: every root span's
 duration is distributed over its subtree, so the hotspot table sums to
@@ -216,21 +214,6 @@ def hotspots(events, k=10):
         rows.append(row)
     rows.sort(key=lambda r: (-r["self_s"], r["name"], r.get("pid") or 0))
     return rows[:k]
-
-
-def profile_summary(events, k=10):
-    """JSON-ready attribution summary embedded in BENCH snapshots:
-    total traced wall seconds, the percentage of it attributed to the
-    reported hotspot rows, and the top-``k`` hotspot list."""
-    rows = hotspots(events, k=k)
-    wall = total_wall(events)
-    attributed = sum(r["self_s"] for r in rows)
-    return {
-        "total_s": wall,
-        "span_count": len(span_events(events)),
-        "attributed_pct": 100.0 * attributed / wall if wall else 0.0,
-        "hotspots": rows,
-    }
 
 
 def render_hotspots(events, k=10):

@@ -116,11 +116,6 @@ class Regex:
 
     # -- structural helpers --------------------------------------------------
 
-    @property
-    def is_star(self):
-        """True for ``R*`` (an unbounded loop from zero)."""
-        return self.kind == LOOP and self.lo == 0 and self.hi is INF
-
     def iter_subterms(self):
         """Yield this node and all subterms, depth-first, pre-order:
         a shared subterm once per occurrence, so the walk is as long as

@@ -68,8 +68,8 @@ from repro.serve.pool import WorkerPool
 #: protocol error, not a memory commitment.
 MAX_LINE = 1 << 20
 
-#: Client kinds the daemon will queue.  "bench" and "crash" exist for
-#: the pool's own test harness and stay behind ``allow_crash``.
+#: Client kinds the daemon will queue.  "crash" exists for the pool's
+#: own test harness and stays behind ``allow_crash``.
 CLIENT_KINDS = ("pattern", "smt2")
 
 #: How many recent serving latencies back the stats quantiles.
@@ -335,7 +335,7 @@ class SolverDaemon:
             return
         kind = msg.get("kind")
         allowed = CLIENT_KINDS if not self.allow_crash \
-            else CLIENT_KINDS + ("bench", "crash")
+            else CLIENT_KINDS + ("crash",)
         if kind not in allowed:
             client.send({
                 "type": "error", "id": job_id,

@@ -94,7 +94,7 @@ class PoolInterrupted(BaseException):
 def _affinity_key(task):
     """The routing key for warm-store affinity: the raw payload text of
     pattern/smt2 tasks (what the store keys on, pre-canonicalization).
-    Bench and crash tasks have no reusable fragments — no key."""
+    Crash tasks have no reusable fragments — no key."""
     if task.get("kind") in ("pattern", "smt2"):
         payload = task.get("payload")
         if isinstance(payload, str):
@@ -553,7 +553,6 @@ class WorkerPool:
                 reason=msg.get("reason"), error=msg.get("error"),
                 elapsed=msg.get("elapsed", 0.0), worker=msg.get("worker"),
                 attempts=msg.get("attempts", 1), stats=msg.get("stats"),
-                outcome=msg.get("outcome"),
                 explanation=msg.get("explanation"),
             )
             # a real result proves workers can run tasks: reset the

@@ -17,12 +17,12 @@ class TaskResult:
 
     __slots__ = (
         "index", "name", "status", "witness", "model", "reason", "error",
-        "elapsed", "worker", "attempts", "stats", "outcome", "explanation",
+        "elapsed", "worker", "attempts", "stats", "explanation",
     )
 
     def __init__(self, index, name, status, witness=None, model=None,
                  reason=None, error=None, elapsed=0.0, worker=None,
-                 attempts=1, stats=None, outcome=None, explanation=None):
+                 attempts=1, stats=None, explanation=None):
         self.index = index
         self.name = name
         self.status = status
@@ -34,7 +34,6 @@ class TaskResult:
         self.worker = worker
         self.attempts = attempts
         self.stats = stats if stats is not None else {}
-        self.outcome = outcome      # harness outcome for bench jobs
         #: provenance summary dict from an explain-enabled worker
         #: (``{"kind", ..., "certificate_checked"}``) or None
         self.explanation = explanation
@@ -52,8 +51,7 @@ class TaskResult:
             "worker": self.worker,
             "attempts": self.attempts,
         }
-        for key in ("witness", "model", "reason", "error", "outcome",
-                    "explanation"):
+        for key in ("witness", "model", "reason", "error", "explanation"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -69,19 +67,14 @@ class TaskResult:
 
 
 def merge_numeric(into, mapping):
-    """Sum ``mapping``'s numeric scalars into ``into``, mirroring the
-    BENCH snapshot aggregation.  Of the nested dicts only ``metrics`` is
-    summed (one level deep): a ``bench`` task's registry snapshot
-    belongs to that task's fresh solver, while a ``lifetime`` reading
-    is cumulative over the worker's earlier tasks and would count them
-    again."""
+    """Sum ``mapping``'s numeric scalars into ``into``.  Nested dicts
+    are skipped: a ``lifetime`` reading is cumulative over the worker's
+    earlier tasks and would count them again."""
     for key, value in mapping.items():
         if isinstance(value, bool):
             continue
         if isinstance(value, (int, float)):
             into[key] = into.get(key, 0) + value
-        elif isinstance(value, dict) and key == "metrics":
-            merge_numeric(into.setdefault(key, {}), value)
     return into
 
 

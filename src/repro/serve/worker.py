@@ -4,10 +4,7 @@ Each worker owns a private :class:`~repro.regex.builder.RegexBuilder`,
 a persistent :class:`~repro.solver.engine.RegexSolver` (whose graph
 ``G`` and derivative memos accumulate across the worker's tasks, the
 same way a long-lived solver process would warm up), and an
-:class:`~repro.solver.smt.SmtSolver` on top.  ``bench`` tasks instead
-build a fresh solver of the named benchmark engine per task through
-:func:`repro.bench.harness.solve_cell`, the serial harness's own cell
-function.
+:class:`~repro.solver.smt.SmtSolver` on top.
 
 Every task produces exactly one result message; *any* exception during
 solving is mapped to a structured ``error`` result — the worker loop
@@ -174,35 +171,6 @@ def _solve(state, task):
     return out
 
 
-def _solve_bench(state, task):
-    """One (engine, problem) benchmark cell through
-    :func:`repro.bench.harness.solve_cell`, the function the serial
-    harness runs.  The problem arrives as SMT-LIB text or, for a
-    lookaround problem (which has no SMT-LIB form), as the printed
-    pattern of its one ``str.in_re``."""
-    from repro.bench.engines import engine_by_name
-    from repro.bench.harness import solve_cell
-    from repro.smtlib.parser import parse_script
-    from repro.solver.formula import InRe
-
-    payload = task["payload"]
-    if "pattern" in payload:
-        formula = InRe("s", parse(state.builder, payload["pattern"]))
-    else:
-        formula = parse_script(state.builder, payload["smt2"]).formula
-    status, elapsed, outcome, stats = solve_cell(
-        engine_by_name(payload["engine"]), state.builder, formula,
-        task.get("expected"), state.config.get("fuel"),
-        state.config.get("seconds"),
-    )
-    return {
-        "status": status,
-        "outcome": outcome,
-        "stats": stats,
-        "bench_elapsed": elapsed,
-    }
-
-
 def _crash(state, task):
     mode = task["payload"]
     if mode == "kill":
@@ -218,7 +186,6 @@ def _crash(state, task):
 _EXECUTORS = {
     "smt2": _solve,
     "pattern": _solve,
-    "bench": _solve_bench,
     "crash": _crash,
 }
 
@@ -237,7 +204,7 @@ def execute_task(state, task):
         out = {"status": "error", "error": error_info(exc)}
     except Exception as exc:
         out = {"status": "error", "error": error_info(exc)}
-    out["elapsed"] = out.pop("bench_elapsed", time.perf_counter() - started)
+    out["elapsed"] = time.perf_counter() - started
     return out
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.alphabet import charclass
 from repro.alphabet.intervals import IntervalAlgebra
-from repro.errors import AlgebraError
 
 
 @pytest.fixture
@@ -45,28 +44,6 @@ def test_negated_classes_partition(alg):
 
 def test_digit_subset_of_word(alg):
     assert alg.implies(charclass.digit(alg), charclass.word(alg))
-
-
-def test_posix_classes(alg):
-    assert alg.member("f", charclass.posix(alg, "xdigit"))
-    assert not alg.member("g", charclass.posix(alg, "xdigit"))
-    assert alg.member("!", charclass.posix(alg, "punct"))
-    assert alg.member("\x00", charclass.posix(alg, "cntrl"))
-
-
-def test_posix_unknown_raises(alg):
-    with pytest.raises(AlgebraError):
-        charclass.posix(alg, "nosuch")
-
-
-def test_escape_class_dispatch(alg):
-    assert charclass.escape_class(alg, "d") == charclass.digit(alg)
-    assert charclass.escape_class(alg, "W") == charclass.not_word(alg)
-
-
-def test_escape_class_unknown_raises(alg):
-    with pytest.raises(AlgebraError):
-        charclass.escape_class(alg, "q")
 
 
 def test_classes_clamp_to_small_domains():

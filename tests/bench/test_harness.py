@@ -1,7 +1,5 @@
 """The benchmark harness and reporting machinery."""
 
-import os
-
 import pytest
 
 from repro.alphabet import IntervalAlgebra
@@ -112,53 +110,3 @@ def test_cumulative_sorted(builder, problems):
 def test_figure_4c_table(builder):
     text = figure_4c_table(suite_inventory(builder))
     assert "blowup" in text and "total" in text
-
-
-def test_run_matrix_jobs_matches_serial(builder, problems):
-    """The acceptance property: fanning the matrix over worker
-    processes must not change any verdict or outcome."""
-    engines = default_engines()[:2]
-    serial = run_matrix(engines, problems, builder, fuel=50000, seconds=5.0)
-    par = run_matrix(engines, problems, builder, fuel=50000, seconds=5.0,
-                     jobs=2)
-    assert len(par) == len(serial)
-    for s, p in zip(serial, par):
-        assert (p.engine, p.problem.name) == (s.engine, s.problem.name)
-        assert (p.status, p.outcome) == (s.status, s.outcome)
-
-
-def test_run_matrix_parallel_rejects_unknown_engine(builder, problems):
-    from repro.bench.harness import Engine
-
-    bogus = Engine("no-such-engine", lambda b: None)
-    with pytest.raises(KeyError, match="no-such-engine"):
-        run_matrix([bogus], problems, builder, fuel=1000, seconds=1.0, jobs=2)
-
-
-def test_run_matrix_jobs_solves_lookaround_cells_in_workers(monkeypatch):
-    """Lookaround problems have no SMT-LIB form; they still travel to
-    the workers (as printed patterns) instead of being solved in the
-    calling process, with every cell's verdict unchanged."""
-    from repro.bench import harness
-    from repro.bench.generators import lookarounds
-
-    builder = RegexBuilder(IntervalAlgebra())
-    problems = lookarounds.generate(builder)
-    engines = default_engines()
-    serial = run_matrix(engines, problems, builder, fuel=50000, seconds=5.0)
-    solved_here = []
-    cell = harness.solve_cell
-
-    def spy(*args, **kwargs):
-        # forked workers inherit the spy; only this process's calls
-        # land in this process's list
-        solved_here.append(os.getpid())
-        return cell(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "solve_cell", spy)
-    par = run_matrix(engines, problems, builder, fuel=50000, seconds=5.0,
-                     jobs=2)
-    assert solved_here == []
-    assert len(serial) == len(engines) * len(problems) == 90
-    assert [(r.engine, r.problem.name, r.status, r.outcome) for r in par] \
-        == [(r.engine, r.problem.name, r.status, r.outcome) for r in serial]

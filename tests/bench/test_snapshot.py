@@ -2,6 +2,8 @@
 sequence, provenance stamping, and per-suite subsampling."""
 
 import json
+import os
+import subprocess
 
 import pytest
 
@@ -95,16 +97,33 @@ def test_snapshot_sequence_and_round_trip(tmp_path):
     assert loaded["cells"] == json.loads(json.dumps(snap2["cells"]))
 
 
+def _checkout_head():
+    """``git rev-parse HEAD`` of the checkout holding this test, or
+    None when git or the checkout's metadata is unavailable."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
 def test_snapshot_carries_provenance_and_config(tmp_path):
+    # the output directory is outside the checkout: provenance must
+    # still name the code that ran, not the directory written to
     snap = build_snapshot(
         [rec("sbd", "kaluza", 0.01)], 1.0,
         {"quick": False, "fuel": 7}, str(tmp_path),
-        profile={"total_s": 1.0, "attributed_pct": 100.0, "hotspots": []},
     )
     assert set(snap["git"]) == {"sha", "branch"}
+    head = _checkout_head()
+    if head is not None:
+        assert snap["git"]["sha"] == head
     assert snap["host"]["cpus"] >= 1
     assert snap["config"]["fuel"] == 7
-    assert snap["profile"]["attributed_pct"] == 100.0
     assert "T" in snap["created"]  # ISO-8601 UTC stamp
 
 
@@ -123,8 +142,9 @@ def test_host_info_shape():
 
 def test_collect_end_to_end_tiny(tmp_path):
     """The full pipeline on a heavily subsampled matrix: every engine
-    and suite gets a cell, the profile attributes >= 90% of traced
-    wall time, and a second run gates cleanly against the first."""
+    and suite gets a cell, every cell is one (engine, suite) pair of
+    the configured line-up, and a second run gates cleanly against the
+    first."""
     from repro.bench.compare import TIME_METRICS, compare
     from repro.bench.snapshot import collect
 
@@ -138,14 +158,11 @@ def test_collect_end_to_end_tiny(tmp_path):
     assert "sbd" in engines and len(engines) >= 3
     suites = {c["suite"] for c in snap["cells"].values()}
     assert {"kaluza", "norn_nb", "norn_b", "slog"} <= suites
-    # the zipfian store suite contributes its cold/warm pair, so the
-    # regression gate below covers warm-replay latency too
-    assert {"sbd/store_cold", "sbd/store_warm"} <= set(snap["cells"])
-    assert snap["config"]["store"]["workload"] > 0
-    assert snap["cells"]["sbd/store_warm"]["counters"]["store_hits"] > 0
+    # the snapshot is the engine x suite matrix and nothing else
+    assert engines == set(snap["config"]["engines"])
+    for name, cell in snap["cells"].items():
+        assert name == "%s/%s" % (cell["engine"], cell["suite"])
     assert snap["config"]["stride"] == 60
-    assert snap["profile"]["attributed_pct"] >= 90.0
-    assert snap["profile"]["hotspots"]
 
     snap2 = collect(root, quick=True, stride=60, fuel=3000, seconds=0.4)
     write_snapshot(snap2, root)

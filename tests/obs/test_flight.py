@@ -562,17 +562,10 @@ def test_capture_artifact_embeds_checked_certificate(tmp_path):
 
 
 def test_capture_artifact_skips_certificates_for_unknowns(tmp_path):
-    for task, out in (
-        (pattern_task(name="vague", payload="(ab)*"),
-         {"status": "unknown", "reason": "fuel", "elapsed": 2.0}),
-        # a bench cell has no certified form, whatever its verdict
-        ({"name": "cell", "index": 1, "kind": "bench", "attempts": 0,
-          "payload": {"engine": "sbd", "pattern": "(ab)*"}},
-         {"status": "sat", "elapsed": 2.0}),
-    ):
-        path = capture_artifact(
-            str(tmp_path), task, out,
-            {"fuel": 10, "seconds": 5.0, "max_char": 127},
-            worker="w0", pid=1, trigger="latency>=1.000s",
-        )
-        assert "certificate" not in load_artifact(path)
+    path = capture_artifact(
+        str(tmp_path), pattern_task(name="vague", payload="(ab)*"),
+        {"status": "unknown", "reason": "fuel", "elapsed": 2.0},
+        {"fuel": 10, "seconds": 5.0, "max_char": 127},
+        worker="w0", pid=1, trigger="latency>=1.000s",
+    )
+    assert "certificate" not in load_artifact(path)

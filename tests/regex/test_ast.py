@@ -33,13 +33,6 @@ def test_size_and_depth(ascii_builder):
     assert r.depth() >= 3
 
 
-def test_is_star(ascii_builder):
-    b = ascii_builder
-    assert b.star(b.char("a")).is_star
-    assert not b.plus(b.char("a")).is_star
-    assert not b.loop(b.char("a"), 0, 5).is_star
-
-
 def test_is_clean(ascii_builder):
     b = ascii_builder
     assert parse(b, "a|b*").is_clean()

@@ -116,29 +116,6 @@ def test_worker_metrics_survive_clean_shutdown():
     assert report.wall_s > 0.0
 
 
-def test_bench_jobs_match_run_problem():
-    from repro.bench.harness import Problem, run_problem
-    from repro.bench.engines import engine_by_name
-    from repro.smtlib.writer import script_text
-    from repro.solver.formula import InRe
-
-    builder = RegexBuilder(IntervalAlgebra())
-    regex = builder.inter(
-        [parse(builder, "a*b"), parse(builder, "[ab]{1,3}")]
-    )
-    problem = Problem("cell", "unit", "B", InRe("x", regex), expected="sat")
-    serial = run_problem(engine_by_name("sbd"), builder, problem,
-                         fuel=BUDGET["fuel"], seconds=BUDGET["seconds"])
-    text = script_text(problem.formula, builder.algebra, status="sat")
-    report = solve_batch(
-        [Job("cell", "bench", {"engine": "sbd", "smt2": text},
-             expected="sat")],
-        workers=1, **BUDGET,
-    )
-    result = report.results[0]
-    assert (result.status, result.outcome) == (serial.status, serial.outcome)
-
-
 def test_pool_rejects_zero_workers():
     from repro.serve import WorkerPool
 

@@ -5,12 +5,12 @@ from repro.serve import (
 )
 
 
-def test_merge_numeric_sums_scalars_and_nested_metrics():
+def test_merge_numeric_sums_scalars_only():
     acc = {}
-    merge_numeric(acc, {"explored": 3, "metrics": {"a.b": 1}, "note": "x",
+    merge_numeric(acc, {"explored": 3, "lifetime": {"a.b": 1}, "note": "x",
                         "flag": True})
-    merge_numeric(acc, {"explored": 4, "metrics": {"a.b": 2, "c": 5}})
-    assert acc == {"explored": 7, "metrics": {"a.b": 3, "c": 5}}
+    merge_numeric(acc, {"explored": 4, "lifetime": {"a.b": 2, "c": 5}})
+    assert acc == {"explored": 7}
 
 
 def test_results_sorted_by_index():
